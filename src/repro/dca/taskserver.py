@@ -69,6 +69,12 @@ class _TaskState:
 
 
 class _Job:
+    """A dispatched job, built once its node is acquired.
+
+    It drops both event handles when it ends, so a finished job and its
+    events form no cycle and reference counting frees them.
+    """
+
     __slots__ = (
         "state",
         "node",
@@ -77,16 +83,18 @@ class _Job:
         "abandoned",
         "assigned_at",
         "spot_check",
+        "value",
     )
 
-    def __init__(self, state: Optional[_TaskState], spot_check: bool = False) -> None:
+    def __init__(self, state: Optional[_TaskState], node: Node, assigned_at: float) -> None:
         self.state = state  # None for spot-check jobs
-        self.node: Optional[Node] = None
+        self.node = node
         self.completion_event: Optional[Event] = None
         self.deadline_event: Optional[Event] = None
         self.abandoned = False
-        self.assigned_at = 0.0
-        self.spot_check = spot_check
+        self.assigned_at = assigned_at
+        self.spot_check = state is None
+        self.value = None
 
 
 class TaskServer:
@@ -138,14 +146,14 @@ class TaskServer:
         self._node_aware = is_node_aware(strategy)
         self._credibility_manager = getattr(strategy, "manager", None)
         self.prioritize_followups = prioritize_followups
-        #: First waves of untouched tasks.
-        self._queue: Deque[_Job] = deque()
+        #: First waves of untouched tasks, one entry per pending job.
+        self._queue: Deque[_TaskState] = deque()
         #: Follow-up waves of in-flight tasks.  When
         #: ``prioritize_followups`` is set (the default, matching the
         #: paper's response-time regime where open tasks finish before new
         #: ones start), these are assigned first; otherwise both queues
         #: drain FIFO together.
-        self._followup_queue: Deque[_Job] = deque()
+        self._followup_queue: Deque[_TaskState] = deque()
         self._states: Dict[int, _TaskState] = {}
         self.records: List[TaskRecord] = []
         self.total_jobs_dispatched = 0
@@ -209,16 +217,15 @@ class TaskServer:
         prioritize = self.prioritize_followups
         while pool.available_count > 0:
             if prioritize and followups:
-                job = followups.popleft()
+                state = followups.popleft()
             elif queue:
-                job = queue.popleft()
+                state = queue.popleft()
             elif followups:
-                job = followups.popleft()
+                state = followups.popleft()
             else:
                 break
-            if job.abandoned or (job.state is not None and job.state.done):
-                continue
-            self._assign(job)
+            if not state.done:
+                self._assign(state)
 
     # ------------------------------------------------------------------
     # Dispatch machinery
@@ -230,8 +237,7 @@ class TaskServer:
             rec.observe(DCA_WAVE_SIZE, count, labels={"followup": followup})
         state.vote.dispatched(count)
         target = self._followup_queue if followup else self._queue
-        for _ in range(count):
-            target.append(_Job(state=state))
+        target.extend([state] * count)
         self.pump()
 
     def _maybe_spot_check(self) -> bool:
@@ -242,22 +248,20 @@ class TaskServer:
         # the spot-check stream.
         return self.spot_check_rate > 0.0 and self._rng_spot.random() < self.spot_check_rate
 
-    def _assign(self, job: _Job) -> None:
+    def _assign(self, state: _TaskState) -> None:
         node = self.pool.acquire_random(self._rng_select)
         if node is None:  # raced with a departure; requeue at the front
-            self._followup_queue.appendleft(job)
+            self._followup_queue.appendleft(state)
             return
-        if not job.spot_check and self._maybe_spot_check():
+        if self._maybe_spot_check():
             # Divert this node to a spot-check first; the real job goes
             # back to the head of the high-priority queue.
-            self._followup_queue.appendleft(job)
-            job = _Job(state=None, spot_check=True)
+            self._followup_queue.appendleft(state)
+            state = None
             self.spot_checks_issued += 1
         sim = self.sim
         now = sim.now
-        state = job.state
-        job.node = node
-        job.assigned_at = now
+        job = _Job(state, node, now)
         self.total_jobs_dispatched += 1
         if state is not None and state.first_dispatch is None:
             state.first_dispatch = now
@@ -285,25 +289,23 @@ class TaskServer:
         duration = node.job_duration(nominal)
 
         schedule_after = sim.schedule_after
-        job.deadline_event = schedule_after(
-            self.timeout, lambda ev, j=job: self._on_deadline(j)
-        )
+        job.deadline_event = schedule_after(self.timeout, self._deadline_fired, payload=job)
         if value is not None:
-            job.completion_event = schedule_after(
-                duration, lambda ev, j=job, v=value: self._on_complete(j, v)
-            )
+            job.value = value
+            job.completion_event = schedule_after(duration, self._complete_fired, payload=job)
         # A silent job (value None) schedules no completion: only the
         # deadline will fire, exactly like a node that never reports.
 
-    def _on_complete(self, job: _Job, value) -> None:
+    def _complete_fired(self, event: Event) -> None:
+        job: _Job = event.payload
         if job.abandoned:
             return
         node = job.node
-        assert node is not None
         if not node.alive:
             # The node quit mid-job; its result is lost.  The deadline
             # event will fold the silence into the vote.
             return
+        value = job.value
         rec = self._recorder
         if rec is not None:
             # Before the vote folds in, so the completion precedes any
@@ -323,6 +325,7 @@ class TaskServer:
         job.abandoned = True
         if job.deadline_event is not None:
             self.sim.cancel(job.deadline_event)
+        job.deadline_event = job.completion_event = None
         self.pool.release(node)
         if job.spot_check:
             self._finish_spot_check(node, value)
@@ -338,19 +341,20 @@ class TaskServer:
             )
         self.pump()
 
-    def _on_deadline(self, job: _Job) -> None:
+    def _deadline_fired(self, event: Event) -> None:
+        job: _Job = event.payload
         if job.abandoned:
             return
+        node = job.node
         rec = self._recorder
         if rec is not None:
-            node_id = job.node.node_id if job.node is not None else None
             rec.span_end(
                 DCA_JOB_SPAN,
-                node_id,
+                node.node_id,
                 self.sim.now,
                 {
                     "task": job.state.task.task_id if job.state is not None else -1,
-                    "node": node_id,
+                    "node": node.node_id,
                     "outcome": "timeout",
                 },
             )
@@ -358,23 +362,19 @@ class TaskServer:
         job.abandoned = True
         if job.completion_event is not None:
             self.sim.cancel(job.completion_event)
+        job.deadline_event = job.completion_event = None
         self.jobs_timed_out += 1
-        node = job.node
-        if node is not None:
-            node.jobs_failed += 1
-            # The node either died or hung; if it is still nominally alive
-            # we return it to the pool (it "recovers"), mirroring flaky
-            # volunteers that stay registered.
-            if node.alive:
-                self.pool.release(node)
+        node.jobs_failed += 1
+        # The node either died or hung; if it is still nominally alive
+        # we return it to the pool (it "recovers"), mirroring flaky
+        # volunteers that stay registered.
+        if node.alive:
+            self.pool.release(node)
         if job.spot_check:
-            if node is not None and self._credibility_manager is not None:
+            if self._credibility_manager is not None:
                 self._credibility_manager.spot_check(node.node_id, passed=False)
         else:
-            self._record_outcome(
-                job.state,
-                JobOutcome(value=None, node_id=node.node_id if node else None),
-            )
+            self._record_outcome(job.state, JobOutcome(value=None, node_id=node.node_id))
         self.pump()
 
     def _finish_spot_check(self, node: Node, value) -> None:

@@ -52,9 +52,12 @@ class Event:
         payload: Arbitrary user data attached to the event.
         cancelled: True once :meth:`cancel` has been called; cancelled
             events are skipped (and discarded) by the queue.
+        fired: True once the queue has popped the event to fire it; a
+            later cancel is then a no-op, so it cannot corrupt the
+            queue's live count.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "payload", "cancelled")
+    __slots__ = ("time", "priority", "seq", "callback", "payload", "cancelled", "fired")
 
     def __init__(
         self,
@@ -71,6 +74,7 @@ class Event:
         self.callback = callback
         self.payload = payload
         self.cancelled = cancelled
+        self.fired = False
 
     def cancel(self) -> None:
         """Mark this event so the queue will skip it.
@@ -144,8 +148,8 @@ class EventQueue:
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel ``event`` if it is still pending."""
-        if not event.cancelled:
+        """Cancel ``event`` if it is still pending (not fired or cancelled)."""
+        if not (event.cancelled or event.fired):
             event.cancelled = True
             self._live -= 1
             self._cancelled_pending += 1
@@ -202,7 +206,9 @@ class EventQueue:
                 return None
             heappop(heap)
             self._live -= 1
-            return entry[3]
+            event = entry[3]
+            event.fired = True
+            return event
         return None
 
     def clear(self) -> None:
@@ -360,8 +366,8 @@ class CalendarQueue:
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel ``event`` if it is still pending."""
-        if not event.cancelled:
+        """Cancel ``event`` if it is still pending (not fired or cancelled)."""
+        if not (event.cancelled or event.fired):
             event.cancelled = True
             self._live -= 1
             self._cancelled_pending += 1
@@ -400,7 +406,11 @@ class CalendarQueue:
         *or* when the next live event lies beyond ``limit``.
         """
         entry = self._find_next(limit, pop=True)
-        return entry[3] if entry is not None else None
+        if entry is None:
+            return None
+        event = entry[3]
+        event.fired = True
+        return event
 
     def _find_next(
         self, limit: Optional[float], *, pop: bool

@@ -58,11 +58,16 @@ class WorkUnit:
 
 @dataclass
 class JobAssignment:
-    """What the scheduler RPC returns to a polling client."""
+    """What the scheduler RPC returns to a polling client.
+
+    ``deadline_event`` is dropped once the job ends, so a finished
+    assignment and its deadline event form no reference cycle.
+    """
 
     job_id: int
     unit: WorkUnit
     deadline: float
+    node_id: int
     deadline_event: Optional[Event] = None
     completed: bool = False
 
@@ -184,12 +189,12 @@ class VolunteerServer:
                 job_id=self._next_job_id,
                 unit=unit,
                 deadline=self.sim.now + self.deadline,
+                node_id=node_id,
             )
             self._next_job_id += 1
             self.assignments_issued += 1
             assignment.deadline_event = self.sim.schedule_after(
-                self.deadline,
-                lambda ev, a=assignment, n=node_id: self._on_deadline(a, n),
+                self.deadline, self._deadline_fired, payload=assignment
             )
             return assignment
         self.requests_denied += 1
@@ -208,14 +213,18 @@ class VolunteerServer:
         assignment.completed = True
         if assignment.deadline_event is not None:
             self.sim.cancel(assignment.deadline_event)
+            assignment.deadline_event = None
         self.results_received += 1
         canonical = self.value_matcher(value)
         self._record(assignment.unit, JobOutcome(value=canonical, node_id=node_id))
 
-    def _on_deadline(self, assignment: JobAssignment, node_id: int) -> None:
+    def _deadline_fired(self, event: Event) -> None:
+        assignment: JobAssignment = event.payload
         if assignment.completed:
             return
         assignment.completed = True
+        assignment.deadline_event = None
+        node_id = assignment.node_id
         self.deadline_misses += 1
         unit = assignment.unit
         # The node failed silently and contributed no vote, so its slot on

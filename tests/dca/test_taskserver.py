@@ -1,6 +1,8 @@
 # reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """Integration tests for the task server on small simulations."""
 
+import gc
+
 import pytest
 
 from repro.core import (
@@ -12,6 +14,8 @@ from repro.core import (
 )
 from repro.dca import ByzantineCollusion, DcaConfig, DcaSimulation, run_dca
 from repro.dca.node import Node
+from repro.dca.taskserver import _Job
+from repro.sim.events import Event
 
 
 def run(strategy, **overrides):
@@ -152,3 +156,46 @@ class TestFollowupPriority:
         simulation.server.prioritize_followups = False
         report = simulation.run()
         assert report.tasks_completed == 100
+
+
+class TestCycleFreeLifecycle:
+    """Finished jobs and their events are freed by reference counting.
+
+    With the cyclic collector off, only jobs still in flight (at most
+    one per node) and their events (at most two per job) may survive a
+    run; a reference cycle per job would keep every dispatched job alive.
+    """
+
+    @staticmethod
+    def _live(kind):
+        return sum(1 for obj in gc.get_objects() if type(obj) is kind)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"spot_check_rate": 0.1}, {"arrival_rate": 5, "departure_rate": 5}],
+        ids=["plain", "spot-checks", "churn"],
+    )
+    def test_finished_jobs_need_no_cyclic_gc(self, overrides):
+        nodes = 200
+        simulation = DcaSimulation(
+            DcaConfig(
+                strategy=TraditionalRedundancy(9),
+                tasks=600,
+                nodes=nodes,
+                reliability=0.7,
+                seed=3,
+                **overrides,
+            )
+        )
+        gc.collect()
+        jobs_before, events_before = self._live(_Job), self._live(Event)
+        gc.disable()
+        try:
+            report = simulation.run()
+            jobs = self._live(_Job) - jobs_before
+            events = self._live(Event) - events_before
+        finally:
+            gc.enable()
+        assert report.total_jobs_dispatched > 10 * nodes
+        assert jobs <= nodes
+        assert events <= 2 * nodes

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core import IterativeRedundancy
+from repro.dca import DcaConfig, DcaSimulation
 from repro.sim import SimulationError, Simulator, StopSimulation
+from repro.sim.events import QUEUE_KINDS
 
 
 class TestScheduling:
@@ -127,6 +130,68 @@ class TestRunControls:
         assert sim.now == 0.0
         assert sim.pending == 0
         assert sim.events_processed == 0
+
+
+def _queued_entries(queue):
+    """Every physical entry of a heap or calendar queue."""
+    if hasattr(queue, "_heap"):
+        return list(queue._heap)
+    return [entry for bucket in queue._buckets for entry in bucket]
+
+
+@pytest.mark.parametrize("queue", QUEUE_KINDS)
+class TestCancelFiredEvent:
+    """Cancelling an event that already fired is a no-op."""
+
+    def test_pending_unchanged(self, queue):
+        sim = Simulator(seed=1, queue=queue)
+        fired = sim.schedule(1.0, lambda ev: None)
+        sim.schedule(5.0, lambda ev: None)
+        sim.run(until=2.0)
+        assert sim.pending == 1
+        sim.cancel(fired)
+        assert sim.pending == 1
+
+    def test_cancel_inside_own_callback(self, queue):
+        sim = Simulator(seed=1, queue=queue)
+        sim.schedule(1.0, sim.cancel)
+        sim.schedule(5.0, lambda ev: None)
+        sim.run(until=2.0)
+        assert sim.pending == 1
+
+    def test_run_until_still_reaches_horizon(self, queue):
+        sim = Simulator(seed=1, queue=queue)
+        fired = []
+        first = sim.schedule(1.0, lambda ev: None)
+        sim.schedule(5.0, lambda ev: fired.append(sim.now))
+        sim.run(until=2.0)
+        sim.cancel(first)
+        sim.run(until=3.0)
+        assert sim.now == 3.0
+        assert fired == []
+        sim.run()
+        assert fired == [5.0]
+        assert sim.pending == 0
+
+    def test_dca_churn_live_count_matches_queue(self, queue):
+        # Departed nodes make the deadline path cancel completions that
+        # have already fired.
+        simulation = DcaSimulation(
+            DcaConfig(
+                strategy=IterativeRedundancy(2),
+                tasks=2000,
+                nodes=100,
+                reliability=0.7,
+                arrival_rate=5,
+                departure_rate=5,
+                seed=3,
+                queue=queue,
+            )
+        )
+        simulation.run()
+        events = simulation.sim._queue
+        live = sum(1 for entry in _queued_entries(events) if not entry[3].cancelled)
+        assert len(events) == live
 
 
 class TestDeterminism:
