@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -36,7 +37,9 @@ class DcaConfig:
         timeout: Job deadline.  ``None`` picks
             ``deadline_factor * duration_high`` (times the slowest speed
             factor seen); jobs silent past the deadline count as failed
-            (Section 2.2).
+            (Section 2.2).  An explicit timeout must exceed the fastest
+            possible job, ``duration_low * (1 - speed_spread)``, or every
+            job would time out; ``inf`` disables the deadline.
         deadline_factor: Multiplier used when ``timeout`` is ``None``.
         unresponsive_prob: Per-job probability a node goes silent.
         failure_model: How failed jobs report.  ``None`` uses the paper's
@@ -94,6 +97,14 @@ class DcaConfig:
             raise ValueError("churn rates must be non-negative")
         if not 0.0 <= self.spot_check_rate < 1.0:
             raise ValueError(f"spot-check rate must lie in [0, 1), got {self.spot_check_rate}")
+        if self.timeout is not None:
+            fastest_job = self.duration_low * (1.0 - self.speed_spread)
+            if math.isnan(self.timeout) or self.timeout <= fastest_job:
+                raise ValueError(
+                    f"timeout must exceed the fastest job duration {fastest_job} "
+                    f"(duration_low * (1 - speed_spread)), got {self.timeout}: "
+                    "every job would time out"
+                )
         if self.deadline_factor <= 1.0:
             raise ValueError(f"deadline factor must exceed 1, got {self.deadline_factor}")
         if self.queue not in QUEUE_KINDS:

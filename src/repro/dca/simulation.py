@@ -6,7 +6,6 @@ from typing import Optional
 
 from repro.dca.churn import ChurnProcess
 from repro.dca.config import DcaConfig
-from repro.dca.node import Node
 from repro.dca.pool import NodePool
 from repro.dca.report import DcaReport
 from repro.dca.taskserver import TaskServer
@@ -34,17 +33,11 @@ class DcaSimulation:
         self.config = config
         self.sim = Simulator(seed=config.seed, recorder=recorder, queue=config.queue)
         self.pool = NodePool()
-        self.churn = ChurnProcess(
-            self.sim,
-            self.pool,
-            config.reliability_distribution,
-            arrival_rate=config.arrival_rate,
-            departure_rate=config.departure_rate,
-            speed_spread=config.speed_spread,
-            unresponsive_prob=config.unresponsive_prob,
-            on_join=self._on_join,
-        )
-        self.server = TaskServer(
+        # The hooks hold the server, never this object, and the server
+        # holds nothing of churn (run() stops churn once every task has a
+        # verdict): a finished simulation forms no reference cycle, so
+        # reference counting frees it.
+        self.server = server = TaskServer(
             self.sim,
             self.pool,
             config.strategy,
@@ -53,24 +46,25 @@ class DcaSimulation:
             duration_high=config.duration_high,
             timeout=config.effective_timeout,
             spot_check_rate=config.spot_check_rate,
-            on_all_done=self._on_all_done,
+            on_all_done=_stop_simulation,
+        )
+        self.churn = ChurnProcess(
+            self.sim,
+            self.pool,
+            config.reliability_distribution,
+            arrival_rate=config.arrival_rate,
+            departure_rate=config.departure_rate,
+            speed_spread=config.speed_spread,
+            unresponsive_prob=config.unresponsive_prob,
+            on_join=lambda node: server.pump(),
         )
         self._build_initial_pool()
-        self._done = False
 
     def _build_initial_pool(self) -> None:
         for _ in range(self.config.nodes):
             self.pool.join(self.churn.make_node())
         # Initial membership is part of setup, not churn statistics.
         self.pool.joins = 0
-
-    def _on_join(self, node: Node) -> None:
-        self.server.pump()
-
-    def _on_all_done(self) -> None:
-        self._done = True
-        self.churn.stop()
-        raise StopSimulation
 
     def run(self) -> DcaReport:
         """Execute the computation and aggregate the report."""
@@ -79,6 +73,8 @@ class DcaSimulation:
             self.server.submit(task)
         self.churn.start()
         self.sim.run(until=config.max_time)
+        if self.server.remaining_tasks == 0:
+            self.churn.stop()
         if self.sim.recorder is not None:
             self.sim.recorder.gauge(DCA_MAKESPAN, self.sim.now)
         return DcaReport(
@@ -93,6 +89,10 @@ class DcaSimulation:
             nodes_departed=self.pool.departures,
             seed=config.seed,
         )
+
+
+def _stop_simulation() -> None:
+    raise StopSimulation
 
 
 def run_dca(config: DcaConfig, recorder: Optional[Recorder] = None) -> DcaReport:

@@ -71,30 +71,21 @@ class _TaskState:
 class _Job:
     """A dispatched job, built once its node is acquired.
 
-    It drops both event handles when it ends, so a finished job and its
-    events form no cycle and reference counting frees them.
+    At most one of its events is queued at a time, and the job holds no
+    handle to it, so a finished job and its events form no cycle and
+    reference counting frees them.
     """
 
-    __slots__ = (
-        "state",
-        "node",
-        "completion_event",
-        "deadline_event",
-        "abandoned",
-        "assigned_at",
-        "spot_check",
-        "value",
-    )
+    __slots__ = ("state", "node", "assigned_at", "spot_check", "value", "deadline_seq")
 
     def __init__(self, state: Optional[_TaskState], node: Node, assigned_at: float) -> None:
         self.state = state  # None for spot-check jobs
         self.node = node
-        self.completion_event: Optional[Event] = None
-        self.deadline_event: Optional[Event] = None
-        self.abandoned = False
         self.assigned_at = assigned_at
         self.spot_check = state is None
         self.value = None
+        #: Event-order place reserved for a deadline not yet pushed.
+        self.deadline_seq = -1
 
 
 class TaskServer:
@@ -288,22 +279,36 @@ class TaskServer:
             nominal = self._rng_durations.uniform(self.duration_low, self.duration_high)
         duration = node.job_duration(nominal)
 
-        schedule_after = sim.schedule_after
-        job.deadline_event = schedule_after(self.timeout, self._deadline_fired, payload=job)
-        if value is not None:
+        # Queue only the event that fires first.  A silent job (value
+        # None) never completes, and a completion no earlier than the
+        # deadline would lose to it (a tie goes to the deadline, which
+        # takes the lower seq): either way the deadline is the job's one
+        # event.  Otherwise the completion fires first, and the deadline
+        # matters only if the node leaves mid-job, so its place in the
+        # event order is reserved -- ahead of the completion's, as if
+        # both were pushed -- and _complete_fired pushes it there then.
+        completes_at = now + duration
+        deadline_at = now + self.timeout
+        if value is None or completes_at >= deadline_at:
+            sim.schedule(deadline_at, self._deadline_fired, payload=job)
+        else:
             job.value = value
-            job.completion_event = schedule_after(duration, self._complete_fired, payload=job)
-        # A silent job (value None) schedules no completion: only the
-        # deadline will fire, exactly like a node that never reports.
+            job.deadline_seq = sim.reserve()
+            sim.schedule(completes_at, self._complete_fired, payload=job)
 
     def _complete_fired(self, event: Event) -> None:
         job: _Job = event.payload
-        if job.abandoned:
-            return
         node = job.node
         if not node.alive:
             # The node quit mid-job; its result is lost.  The deadline
-            # event will fold the silence into the vote.
+            # will fold the silence into the vote, at the time and in the
+            # order it would have fired had it been queued all along.
+            self.sim.schedule(
+                job.assigned_at + self.timeout,
+                self._deadline_fired,
+                payload=job,
+                seq=job.deadline_seq,
+            )
             return
         value = job.value
         rec = self._recorder
@@ -322,10 +327,6 @@ class TaskServer:
                 },
             )
             rec.count(DCA_COMPLETES)
-        job.abandoned = True
-        if job.deadline_event is not None:
-            self.sim.cancel(job.deadline_event)
-        job.deadline_event = job.completion_event = None
         self.pool.release(node)
         if job.spot_check:
             self._finish_spot_check(node, value)
@@ -343,8 +344,6 @@ class TaskServer:
 
     def _deadline_fired(self, event: Event) -> None:
         job: _Job = event.payload
-        if job.abandoned:
-            return
         node = job.node
         rec = self._recorder
         if rec is not None:
@@ -359,10 +358,6 @@ class TaskServer:
                 },
             )
             rec.count(DCA_TIMEOUTS)
-        job.abandoned = True
-        if job.completion_event is not None:
-            self.sim.cancel(job.completion_event)
-        job.deadline_event = job.completion_event = None
         self.jobs_timed_out += 1
         node.jobs_failed += 1
         # The node either died or hung; if it is still nominally alive

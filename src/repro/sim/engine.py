@@ -80,8 +80,12 @@ class Simulator:
         *,
         priority: int = DEFAULT_PRIORITY,
         payload: Any = None,
+        seq: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``.
+
+        ``seq`` is a number from :meth:`reserve`; the event then fires in
+        the place it would have had if scheduled at reservation time.
 
         Raises:
             SimulationError: if ``time`` precedes the current clock.
@@ -90,7 +94,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self.now}"
             )
-        return self._queue.push(time, callback, priority=priority, payload=payload)
+        return self._queue.push(time, callback, priority=priority, payload=payload, seq=seq)
+
+    def reserve(self) -> int:
+        """Reserve the next event sequence number (see :meth:`schedule`)."""
+        return self._queue.reserve()
 
     def schedule_after(
         self,

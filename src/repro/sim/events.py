@@ -15,8 +15,12 @@ DES run):
   Python (``seq`` is unique, so comparisons never reach the event).
 * Cancellation stays lazy (O(1)), but the queue now *compacts* the heap
   whenever cancelled entries outnumber live ones past a threshold, so
-  heavy cancel/reschedule churn (every completed job cancels its
-  deadline event) can no longer grow the heap without bound.
+  heavy cancel/reschedule churn can no longer grow the heap without
+  bound.
+* The cheapest event is one never pushed.  :meth:`EventQueue.reserve`
+  hands out a sequence number up front, so a caller can push an event
+  that will rarely be needed (a job's deadline) only when it turns out
+  to be needed, at the exact place in the order it would have had.
 * At very high event density the ``log n`` of the binary heap itself
   becomes the bottleneck, so :class:`CalendarQueue` offers a calendar
   queue (Brown 1988) with amortised O(1) push/pop.  Both structures
@@ -138,14 +142,32 @@ class EventQueue:
         *,
         priority: int = DEFAULT_PRIORITY,
         payload: Any = None,
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback`` at ``time`` and return the event handle."""
-        seq = self._next_seq
-        self._next_seq = seq + 1
+        """Schedule ``callback`` at ``time`` and return the event handle.
+
+        ``seq`` takes a number from :meth:`reserve` instead of the next
+        one, so the event pops exactly where it would have popped had it
+        been pushed at reservation time.
+        """
+        if seq is None:
+            seq = self._next_seq
+            self._next_seq = seq + 1
         event = Event(time, priority, seq, callback, payload)
         heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
+
+    def reserve(self) -> int:
+        """Take the next sequence number without queueing an event.
+
+        A later ``push(..., seq=reserved)`` slots in among same-``(time,
+        priority)`` events in reservation order.  A number that is never
+        pushed costs nothing: ``len`` and the pop order ignore it.
+        """
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        return seq
 
     def cancel(self, event: Event) -> None:
         """Cancel ``event`` if it is still pending (not fired or cancelled)."""
@@ -354,16 +376,34 @@ class CalendarQueue:
         *,
         priority: int = DEFAULT_PRIORITY,
         payload: Any = None,
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback`` at ``time`` and return the event handle."""
-        seq = self._next_seq
-        self._next_seq = seq + 1
+        """Schedule ``callback`` at ``time`` and return the event handle.
+
+        ``seq`` takes a number from :meth:`reserve` instead of the next
+        one, so the event pops exactly where it would have popped had it
+        been pushed at reservation time.
+        """
+        if seq is None:
+            seq = self._next_seq
+            self._next_seq = seq + 1
         event = Event(time, priority, seq, callback, payload)
         self._insert((time, priority, seq, event))
         self._live += 1
         if self._live > 2 * self._nbuckets:
             self._resize(2 * self._nbuckets)
         return event
+
+    def reserve(self) -> int:
+        """Take the next sequence number without queueing an event.
+
+        A later ``push(..., seq=reserved)`` slots in among same-``(time,
+        priority)`` events in reservation order.  A number that is never
+        pushed costs nothing: ``len`` and the pop order ignore it.
+        """
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        return seq
 
     def cancel(self, event: Event) -> None:
         """Cancel ``event`` if it is still pending (not fired or cancelled)."""

@@ -3,8 +3,9 @@
 
 import pytest
 
-from repro.core import IterativeRedundancy
+from repro.core import IterativeRedundancy, TraditionalRedundancy
 from repro.core.distributions import BetaReliability, FixedReliability
+from repro.dca import run_dca
 from repro.dca.config import DcaConfig
 from repro.dca.workload import Task, Workload
 
@@ -60,6 +61,44 @@ class TestDcaConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             config(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(timeout=0.0),
+            dict(timeout=-1.0),
+            dict(timeout=float("nan")),
+            dict(timeout=0.5),  # ties the fastest job: the deadline wins ties
+            dict(timeout=0.25, speed_spread=0.5),
+        ],
+        ids=["zero", "negative", "nan", "fastest-job", "fastest-fast-node"],
+    )
+    def test_timeout_every_job_would_miss_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="every job would time out"):
+            config(**bad)
+
+    @pytest.mark.parametrize(
+        "good",
+        [
+            dict(timeout=float("inf")),
+            dict(timeout=0.5000001),
+            dict(timeout=0.26, speed_spread=0.5),
+            dict(timeout=1.2, speed_spread=0.9),
+            dict(timeout=99.0),
+        ],
+    )
+    def test_timeout_some_job_can_meet_is_accepted(self, good):
+        assert config(**good).effective_timeout == good["timeout"]
+
+    @pytest.mark.parametrize(
+        "strategy", [TraditionalRedundancy(3), IterativeRedundancy(2)], ids=["TR", "IR"]
+    )
+    def test_infinite_timeout_runs_to_completion(self, strategy):
+        report = run_dca(
+            DcaConfig(strategy=strategy, tasks=20, nodes=10, timeout=float("inf"))
+        )
+        assert report.tasks_completed == 20
+        assert report.jobs_timed_out == 0
 
 
 class TestWorkload:

@@ -15,7 +15,7 @@ from repro.core import (
 from repro.dca import ByzantineCollusion, DcaConfig, DcaSimulation, run_dca
 from repro.dca.node import Node
 from repro.dca.taskserver import _Job
-from repro.sim.events import Event
+from repro.sim.events import CalendarQueue, Event, EventQueue
 
 
 def run(strategy, **overrides):
@@ -199,3 +199,72 @@ class TestCycleFreeLifecycle:
         assert report.total_jobs_dispatched > 10 * nodes
         assert jobs <= nodes
         assert events <= 2 * nodes
+
+
+class TestDeferredDeadlines:
+    """Counts, not timings: what deferring deadlines saves the queue.
+
+    A deadline is queued only when it can fire first, so a run where
+    every job completes in time pushes one event per job and never
+    cancels one.
+    """
+
+    @pytest.mark.parametrize("queue", ["heap", "calendar"])
+    def test_plain_run_cancels_nothing_and_never_compacts(self, queue, monkeypatch):
+        cancels = []
+        for kind in (EventQueue, CalendarQueue):
+            original = kind.cancel
+            monkeypatch.setattr(
+                kind,
+                "cancel",
+                lambda self, event, original=original: cancels.append(event)
+                or original(self, event),
+            )
+        simulation = DcaSimulation(
+            DcaConfig(
+                strategy=TraditionalRedundancy(9),
+                tasks=600,
+                nodes=200,
+                reliability=0.7,
+                seed=3,
+                queue=queue,
+            )
+        )
+        report = simulation.run()
+        assert report.jobs_timed_out == 0
+        assert cancels == []
+        assert simulation.sim._queue.compactions == 0
+        # One event per job: every dispatch fired as a completion.
+        assert simulation.sim.events_processed == report.total_jobs_dispatched
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"spot_check_rate": 0.1}, {"unresponsive_prob": 0.1}],
+        ids=["plain", "spot-checks", "unresponsive"],
+    )
+    def test_finished_simulation_is_freed_by_reference_counting(self, overrides):
+        """A finished simulation leaves no cyclic garbage behind.
+
+        Churn runs are excluded: their pending arrival and departure
+        events hold the churn process, which holds the simulator that
+        queues them, so a churn run still ends in a cycle.
+        """
+        simulation = DcaSimulation(
+            DcaConfig(
+                strategy=TraditionalRedundancy(9),
+                tasks=600,
+                nodes=200,
+                reliability=0.7,
+                seed=3,
+                **overrides,
+            )
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            simulation.run()
+            del simulation
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
