@@ -31,7 +31,10 @@ the committed trajectory lives at ``benchmarks/history.jsonl``; see
 The ``scale_*`` regime suites also carry a throughput-floor gate: at
 full size the sharded columnar engine must beat the object DES by
 ``DES_SPEEDUP_FLOOR``; a report with ``below_des_floor`` set exits
-non-zero like a checksum divergence.
+non-zero like a checksum divergence.  ``obs_overhead`` carries a
+ceiling the same way: at full size the full ``TelemetryRecorder`` may
+slow a DES run by at most ``TELEMETRY_RATIO_CEILING``, and a report with
+``above_telemetry_ceiling`` set exits non-zero.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if repeats is None and args.quick:
         repeats = 1
     diverged = False
-    below_floor = False
+    hard_gate_failed = False
     comparisons = []
     for name in names:
         payload = run_suite(
@@ -222,11 +225,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
         if payload.get("below_des_floor"):
-            below_floor = True
+            hard_gate_failed = True
             print(
                 f"ERROR: {name}: columnar speedup over the DES fell to "
                 f"x{payload['results']['speedup_vs_des']:.1f}, below the "
                 "committed floor",
+                file=sys.stderr,
+            )
+        if payload.get("above_telemetry_ceiling"):
+            hard_gate_failed = True
+            print(
+                f"ERROR: {name}: the full recorder's time ratio over a bare "
+                f"run rose to x{payload['results']['telemetry_recorder_ratio']:.3f}, "
+                "above the committed ceiling",
                 file=sys.stderr,
             )
         if args.history is not None:
@@ -244,7 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _profile_suite(name, args, args.profile)
     if args.telemetry is not None:
         _telemetry_capture(args)
-    failed = diverged or below_floor
+    failed = diverged or hard_gate_failed
     if comparisons:
         import json
         from pathlib import Path

@@ -155,6 +155,11 @@ def bench_dca_run(
     }
 
 
+#: Maximum full-size median TelemetryRecorder/bare time ratio (the
+#: ``above_telemetry_ceiling`` gate; see ``docs/performance.md``).
+TELEMETRY_RATIO_CEILING = 2.2
+
+
 @_suite
 def bench_obs_overhead(
     *, seed: int = 0, jobs: Optional[int] = None, quick: bool = False, repeats: int = 15
@@ -172,7 +177,10 @@ def bench_obs_overhead(
     standard ``--compare`` machinery can hold it to a tolerance.  Being
     dimensionless, the committed baseline (1.0 on any healthy machine)
     transfers across machines; absolute seconds land in ``results``
-    ungated.
+    ungated.  The same median for the full recorder,
+    ``telemetry_recorder_ratio``, is too noisy for a 2% tolerance, so
+    full-size runs hold it under the hard :data:`TELEMETRY_RATIO_CEILING`
+    instead (``above_telemetry_ceiling``).
 
     The variants are timed *interleaved* (bare, null, telemetry per
     round) rather than in consecutive blocks, and the ratio is paired
@@ -255,8 +263,13 @@ def bench_obs_overhead(
             "telemetry_recorder": telemetry_stats.as_dict(),
             "null_recorder_overhead": null_ratio - 1.0,
             "telemetry_recorder_overhead": telemetry_ratio - 1.0,
+            "telemetry_recorder_ratio": telemetry_ratio,
         },
         "checksum": fingerprint_of(bare_metrics),
+        # Quick runs time one round of a small run: noise, not signal.
+        "above_telemetry_ceiling": (
+            not quick and telemetry_ratio > TELEMETRY_RATIO_CEILING
+        ),
     }
 
 

@@ -68,18 +68,23 @@ class VoteState:
 
     def record(self, outcome: JobOutcome) -> None:
         """Fold one completed job into the vote."""
+        self.record_value(outcome.value)
+
+    def record_value(self, value: Optional[ResultValue]) -> None:
+        """Fold one completed job's reported value (``None`` for a job
+        that never reported) into the vote.
+
+        Only the value reaches the vote, so substrates call this directly
+        and build a :class:`JobOutcome` only for node-aware strategies.
+        """
         if self.outstanding > 0:
             self.outstanding -= 1
-        if outcome.value is None:
+        if value is None:
             self.no_response += 1
         else:
             counts = self.counts
-            counts[outcome.value] = counts.get(outcome.value, 0) + 1
+            counts[value] = counts.get(value, 0) + 1
             self._ranked_cache = None
-
-    def record_value(self, value: Optional[ResultValue]) -> None:
-        """Shorthand for :meth:`record` with a bare value."""
-        self.record(JobOutcome(value=value))
 
     def dispatched(self, n: int) -> None:
         """Note that ``n`` more jobs are now in flight."""

@@ -52,8 +52,8 @@ class DcaConfig:
             jobs (they consume nodes and count in dispatch/timeout
             totals; with a credibility strategy the outcomes also feed
             its reputation tallies -- pure overhead otherwise).
-        max_time: Optional simulated-time horizon; ``None`` runs until the
-            computation completes.
+        max_time: Optional finite, non-negative simulated-time horizon;
+            ``None`` runs until the computation completes.
         queue: Event-queue structure for the DES -- ``"heap"`` (default)
             or ``"calendar"`` (amortised O(1) at high event density).
             Results are byte-identical either way; see ``docs/scaling.md``.
@@ -93,8 +93,13 @@ class DcaConfig:
             )
         if not 0.0 <= self.speed_spread < 1.0:
             raise ValueError(f"speed spread must lie in [0, 1), got {self.speed_spread}")
-        if self.arrival_rate < 0 or self.departure_rate < 0:
-            raise ValueError("churn rates must be non-negative")
+        for rate in (self.arrival_rate, self.departure_rate):
+            # Written so NaN fails too (every comparison with NaN is False).
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(
+                    f"churn rates must be finite and non-negative, got "
+                    f"arrival {self.arrival_rate}, departure {self.departure_rate}"
+                )
         if not 0.0 <= self.spot_check_rate < 1.0:
             raise ValueError(f"spot-check rate must lie in [0, 1), got {self.spot_check_rate}")
         if self.timeout is not None:
@@ -105,8 +110,14 @@ class DcaConfig:
                     f"(duration_low * (1 - speed_spread)), got {self.timeout}: "
                     "every job would time out"
                 )
-        if self.deadline_factor <= 1.0:
+        if not self.deadline_factor > 1.0:
             raise ValueError(f"deadline factor must exceed 1, got {self.deadline_factor}")
+        if self.max_time is not None and not 0.0 <= self.max_time < math.inf:
+            # An infinite horizon would end the clock, and the makespan, at inf.
+            raise ValueError(
+                f"max_time must be a finite non-negative horizon (None runs "
+                f"to completion), got {self.max_time}"
+            )
         if self.queue not in QUEUE_KINDS:
             raise ValueError(
                 f"unknown event queue kind {self.queue!r}; choose from {QUEUE_KINDS}"

@@ -73,6 +73,7 @@ class DcaSimulation:
             self.server.submit(task)
         self.churn.start()
         self.sim.run(until=config.max_time)
+        self.server.record_totals()
         if self.server.remaining_tasks == 0:
             self.churn.stop()
         if self.sim.recorder is not None:

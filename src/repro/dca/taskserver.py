@@ -148,6 +148,7 @@ class TaskServer:
         self._states: Dict[int, _TaskState] = {}
         self.records: List[TaskRecord] = []
         self.total_jobs_dispatched = 0
+        self.jobs_completed = 0
         self.jobs_timed_out = 0
         self.spot_checks_issued = 0
         self._remaining = 0
@@ -183,6 +184,27 @@ class TaskServer:
     @property
     def remaining_tasks(self) -> int:
         return self._remaining
+
+    def record_totals(self) -> None:
+        """Record the run's job counters (``dca.dispatch``,
+        ``dca.complete``, ``dca.timeout``, ``dca.spot_check``) as totals.
+
+        The server tallies jobs as plain integers and records each
+        counter once, after the run loop, rather than once per job; a
+        zero total records nothing, so a counter that never fired stays
+        absent.  Call it once per run.
+        """
+        rec = self._recorder
+        if rec is None:
+            return
+        for name, total in (
+            (DCA_DISPATCHES, self.total_jobs_dispatched),
+            (DCA_COMPLETES, self.jobs_completed),
+            (DCA_TIMEOUTS, self.jobs_timed_out),
+            (DCA_SPOT_CHECKS, self.spot_checks_issued),
+        ):
+            if total:
+                rec.count(name, total)
 
     def submit(self, task: Task) -> None:
         """Accept a task and enqueue its first wave of jobs."""
@@ -268,9 +290,6 @@ class TaskServer:
                     "spot_check": job.spot_check,
                 },
             )
-            rec.count(DCA_DISPATCHES)
-            if job.spot_check:
-                rec.count(DCA_SPOT_CHECKS)
 
         task = state.task if state is not None else _SPOT_CHECK_TASK
         value = self.failure_model.report(task, node, self._rng_failures)
@@ -326,20 +345,13 @@ class TaskServer:
                     "outcome": "complete",
                 },
             )
-            rec.count(DCA_COMPLETES)
+        self.jobs_completed += 1
         self.pool.release(node)
         if job.spot_check:
             self._finish_spot_check(node, value)
         else:
             node.jobs_completed += 1
-            self._record_outcome(
-                job.state,
-                JobOutcome(
-                    value=value,
-                    node_id=node.node_id,
-                    elapsed=self.sim.now - job.assigned_at,
-                ),
-            )
+            self._record_outcome(job, value)
         self.pump()
 
     def _deadline_fired(self, event: Event) -> None:
@@ -357,7 +369,6 @@ class TaskServer:
                     "outcome": "timeout",
                 },
             )
-            rec.count(DCA_TIMEOUTS)
         self.jobs_timed_out += 1
         node.jobs_failed += 1
         # The node either died or hung; if it is still nominally alive
@@ -369,7 +380,7 @@ class TaskServer:
             if self._credibility_manager is not None:
                 self._credibility_manager.spot_check(node.node_id, passed=False)
         else:
-            self._record_outcome(job.state, JobOutcome(value=None, node_id=node.node_id))
+            self._record_outcome(job, None)
         self.pump()
 
     def _finish_spot_check(self, node: Node, value) -> None:
@@ -381,14 +392,24 @@ class TaskServer:
     # Vote bookkeeping
     # ------------------------------------------------------------------
 
-    def _record_outcome(self, state: Optional[_TaskState], outcome: JobOutcome) -> None:
+    def _record_outcome(self, job: _Job, value) -> None:
+        """Fold a finished job's value (``None`` on timeout) into its vote."""
+        state = job.state
         assert state is not None
         if state.done:
             return
-        state.vote.record(outcome)
+        state.vote.record_value(value)
         state.jobs_used += 1
         if self._node_aware:
-            self.strategy.record_outcome(state.task.task_id, outcome)
+            self.strategy.record_outcome(
+                state.task.task_id,
+                JobOutcome(
+                    value=value,
+                    node_id=job.node.node_id,
+                    # A timed-out job never reported, so it has no latency.
+                    elapsed=None if value is None else self.sim.now - job.assigned_at,
+                ),
+            )
         if state.vote.outstanding == 0:
             self._decide(state)
 

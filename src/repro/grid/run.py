@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.strategy import RedundancyStrategy
-from repro.core.types import Decision, JobOutcome, VoteState
+from repro.core.types import VoteState
 from repro.dca.report import DcaReport, TaskRecord
 from repro.grid.broker import ResourceBroker
 from repro.grid.site import GridSite, MaintenanceWindow, _QueuedJob
@@ -109,7 +109,7 @@ def run_grid(config: GridConfig) -> DcaReport:
         nonlocal remaining
         if state.done:
             return
-        state.vote.record(JobOutcome(value=value))
+        state.vote.record_value(value)
         state.jobs_used += 1
         if state.vote.outstanding > 0:
             return

@@ -34,7 +34,10 @@ DEFAULT_BOUNDARIES: Tuple[float, ...] = (
 def _label_key(labels: Optional[Mapping[str, Any]]) -> LabelPairs:
     if not labels:
         return ()
-    return tuple(sorted((str(key), str(value)) for key, value in labels.items()))
+    pairs = [(str(key), str(value)) for key, value in labels.items()]
+    if len(pairs) > 1:
+        pairs.sort()
+    return tuple(pairs)
 
 
 class CounterFamily:

@@ -21,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    CounterFamily,
+    GaugeFamily,
+    HistogramFamily,
+    MetricsRegistry,
+)
 
 Number = Union[int, float]
 
@@ -104,7 +109,10 @@ class TelemetryRecorder(Recorder):
             records are *dropped and counted* (``dropped_spans`` /
             ``dropped_events``) rather than evicting old ones, so the
             retained prefix is deterministic; metric counts stay complete
-            regardless.
+            regardless.  Records only grow, so once the span cap is
+            reached every span still open is bound to be dropped: from
+            then on a begin keeps just the key (``open_spans`` stays
+            exact) and an end counts the drop without touching attrs.
     """
 
     enabled = True
@@ -120,9 +128,14 @@ class TelemetryRecorder(Recorder):
         if max_events is not None and max_events < 0:
             raise ValueError(f"max_events must be non-negative, got {max_events}")
         self._registry = MetricsRegistry()
+        # Families resolved once per name (a family's kind never changes).
+        self._counters: Dict[str, CounterFamily] = {}
+        self._gauges: Dict[str, GaugeFamily] = {}
+        self._histograms: Dict[str, HistogramFamily] = {}
         self._spans: List[SpanRecord] = []
         self._events: List[EventRecord] = []
-        self._open: Dict[Tuple[str, Any], Tuple[float, Dict[str, Any]]] = {}
+        #: Open spans: (start, begin attrs), or ``None`` if begun past the cap.
+        self._open: Dict[Tuple[str, Any], Optional[Tuple[float, Dict[str, Any]]]] = {}
         self._max_spans = max_spans
         self._max_events = max_events
         self.dropped_spans = 0
@@ -137,13 +150,19 @@ class TelemetryRecorder(Recorder):
         self._events.append(EventRecord(name, time, dict(attrs) if attrs else {}))
 
     def span_begin(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
-        self._open[(name, key)] = (time, dict(attrs) if attrs else {})
+        cap = self._max_spans
+        if cap is not None and len(self._spans) >= cap:
+            self._open[(name, key)] = None
+        else:
+            self._open[(name, key)] = (time, dict(attrs) if attrs else {})
 
     def span_end(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
         opened = self._open.pop((name, key), None)
-        if self._max_spans is not None and len(self._spans) >= self._max_spans:
+        cap = self._max_spans
+        if cap is not None and len(self._spans) >= cap:
             self.dropped_spans += 1
             return
+        # Below the cap no open span is drop-bound, so None means unmatched.
         if opened is None:
             start, merged = time, {}
         else:
@@ -155,13 +174,22 @@ class TelemetryRecorder(Recorder):
         )
 
     def count(self, name: str, value: Number = 1, labels: Optional[Mapping[str, Any]] = None) -> None:
-        self._registry.counter(name).inc(value, labels)
+        family = self._counters.get(name)
+        if family is None:
+            family = self._counters[name] = self._registry.counter(name)
+        family.inc(value, labels)
 
     def gauge(self, name: str, value: Number, labels: Optional[Mapping[str, Any]] = None) -> None:
-        self._registry.gauge(name).set(value, labels)
+        family = self._gauges.get(name)
+        if family is None:
+            family = self._gauges[name] = self._registry.gauge(name)
+        family.set(value, labels)
 
     def observe(self, name: str, value: Number, labels: Optional[Mapping[str, Any]] = None) -> None:
-        self._registry.histogram(name).observe(value, labels)
+        family = self._histograms.get(name)
+        if family is None:
+            family = self._histograms[name] = self._registry.histogram(name)
+        family.observe(value, labels)
 
     # -- reading back ---------------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.strategy import RedundancyStrategy
-from repro.core.types import JobOutcome, VoteState
+from repro.core.types import VoteState
 from repro.replication.statemachine import Command, Replica
 
 
@@ -107,7 +107,7 @@ class ActiveReplicationService:
                 replica = candidates[consulted]
                 consulted += 1
                 value = replica.execute(command, self.rng)
-                vote.record(JobOutcome(value=value, node_id=replica.replica_id))
+                vote.record_value(value)
             decision = self.strategy.decide(vote)
             if decision.done:
                 accepted = decision.accepted

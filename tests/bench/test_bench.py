@@ -117,11 +117,26 @@ class TestSuites:
             "telemetry_recorder",
             "null_recorder_overhead",
             "telemetry_recorder_overhead",
+            "telemetry_recorder_ratio",
         }
+        assert results["telemetry_recorder_ratio"] == pytest.approx(
+            results["telemetry_recorder_overhead"] + 1.0
+        )
+        # The ceiling gates full-size runs only.
+        assert payload["above_telemetry_ceiling"] is False
         # Checksum is over the bare run's metrics, which the suite asserts
         # equal across all three variants; same seed -> same checksum.
         again = run_suite("obs_overhead", seed=1, quick=True, repeats=1)
         assert payload["checksum"] == again["checksum"]
+
+    def test_obs_overhead_full_size_run_is_held_under_the_ceiling(self, monkeypatch):
+        from repro.bench import suites
+
+        # No recorder halves the run time, so a ceiling of 0.5 must trip.
+        monkeypatch.setattr(suites, "TELEMETRY_RATIO_CEILING", 0.5)
+        payload = run_suite("obs_overhead", seed=1, repeats=1)
+        assert payload["quick"] is False
+        assert payload["above_telemetry_ceiling"] is True
 
 
 class TestCli:
@@ -177,6 +192,20 @@ class TestCli:
         code = bench_main(["fake_scale", "--output-dir", str(tmp_path)])
         assert code == 1
         assert "below the" in capsys.readouterr().err
+
+    def test_above_telemetry_ceiling_is_a_failure(self, tmp_path, capsys, monkeypatch):
+        def fake_suite(**kwargs):
+            return {
+                "seed": 0,
+                "checksum": "aa",
+                "above_telemetry_ceiling": True,
+                "results": {"telemetry_recorder_ratio": 3.5},
+            }
+
+        monkeypatch.setitem(SUITES, "fake_obs", fake_suite)
+        code = bench_main(["fake_obs", "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert "above the committed ceiling" in capsys.readouterr().err
 
     def test_unknown_suite_exits_two(self, capsys):
         assert bench_main(["warp_drive"]) == 2

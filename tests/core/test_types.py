@@ -1,8 +1,18 @@
 """Unit tests for VoteState, Decision, and JobOutcome."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.types import Decision, JobOutcome, TaskVerdict, VoteState
+
+#: Reported values, silences (None), and values that compare equal
+#: across types (True == 1 == 1.0), which must share one vote count.
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.sampled_from([0.0, 1.0, "x", "y"]),
+)
 
 
 class TestVoteState:
@@ -70,6 +80,29 @@ class TestVoteState:
         clone.record_value(False)
         assert vote.responses == 1
         assert clone.responses == 2
+
+
+class TestRecordValueEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dispatched=st.integers(0, 8),
+        values=st.lists(_VALUES, max_size=20),
+        node_ids=st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=20),
+    )
+    def test_record_value_matches_record_of_outcome(self, dispatched, values, node_ids):
+        by_value, by_outcome = VoteState(), VoteState()
+        by_value.dispatched(dispatched)
+        by_outcome.dispatched(dispatched)
+        for index, value in enumerate(values):
+            node_id = node_ids[index] if index < len(node_ids) else None
+            by_value.record_value(value)
+            by_outcome.record(JobOutcome(value=value, node_id=node_id, elapsed=1.0))
+            # Read between folds, so a stale ranked memo would show.
+            assert by_value.ranked() == by_outcome.ranked()
+        assert by_value == by_outcome
+        assert list(by_value.counts.items()) == list(by_outcome.counts.items())
+        assert by_value.no_response == by_outcome.no_response
+        assert by_value.outstanding == by_outcome.outstanding
 
 
 class TestDecision:

@@ -91,6 +91,33 @@ class TestDcaConfig:
         assert config(**good).effective_timeout == good["timeout"]
 
     @pytest.mark.parametrize(
+        "bad",
+        [-1.0, -1e-9, float("nan"), float("inf")],
+        ids=["negative", "tiny-negative", "nan", "inf"],
+    )
+    def test_max_time_must_be_a_finite_non_negative_horizon(self, bad):
+        # -1 used to run backwards (makespan -1.0 after 10 dispatches);
+        # NaN silently meant "no horizon"; inf ended with makespan inf.
+        with pytest.raises(ValueError, match="max_time"):
+            config(max_time=bad)
+
+    def test_zero_max_time_stops_at_the_start(self):
+        report = run_dca(config(max_time=0.0))
+        assert report.makespan == 0.0
+        assert report.tasks_completed == 0
+
+    def test_nan_deadline_factor_is_rejected(self):
+        # A NaN factor made the effective timeout NaN: no job could time out.
+        with pytest.raises(ValueError, match="deadline factor"):
+            config(deadline_factor=float("nan"))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["arrival_rate", "departure_rate"])
+    def test_churn_rate_must_be_finite(self, field, rate):
+        with pytest.raises(ValueError, match="churn rates"):
+            config(**{field: rate})
+
+    @pytest.mark.parametrize(
         "strategy", [TraditionalRedundancy(3), IterativeRedundancy(2)], ids=["TR", "IR"]
     )
     def test_infinite_timeout_runs_to_completion(self, strategy):

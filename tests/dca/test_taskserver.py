@@ -15,6 +15,7 @@ from repro.core import (
 from repro.dca import ByzantineCollusion, DcaConfig, DcaSimulation, run_dca
 from repro.dca.node import Node
 from repro.dca.taskserver import _Job
+from repro.obs import TelemetryRecorder
 from repro.sim.events import CalendarQueue, Event, EventQueue
 
 
@@ -98,6 +99,106 @@ class TestTimeouts:
         )
         assert report.tasks_completed == 30
         assert report.jobs_timed_out > 0
+
+
+class _WatchingTR(TraditionalRedundancy):
+    """TR that implements the node-aware protocol and keeps what it is fed."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.outcomes = []
+        self.verdicts = []
+
+    def record_outcome(self, task_id, outcome):
+        self.outcomes.append((task_id, outcome))
+
+    def task_finished(self, task_id, verdict):
+        self.verdicts.append((task_id, verdict))
+
+
+class TestNodeAwareOutcomes:
+    def test_node_aware_strategy_receives_node_id_and_elapsed(self):
+        strategy = _WatchingTR(3)
+        report = run(strategy, unresponsive_prob=0.2, speed_spread=0.5, timeout=5.0)
+        assert report.tasks_completed == 50
+        assert len(strategy.verdicts) == 50
+        assert len(strategy.outcomes) == report.total_jobs
+        responded = [outcome for _, outcome in strategy.outcomes if outcome.value is not None]
+        silent = [outcome for _, outcome in strategy.outcomes if outcome.value is None]
+        assert len(silent) == report.jobs_timed_out > 0
+        assert responded
+        for outcome in responded:
+            assert 0 <= outcome.node_id < 20
+            # Nominal durations lie in [0.5, 1.5]; speeds in [0.5, 1.5].
+            assert 0.25 <= outcome.elapsed <= 2.25
+        for outcome in silent:
+            assert 0 <= outcome.node_id < 20
+            assert outcome.elapsed is None
+
+    def test_node_awareness_does_not_change_the_report(self):
+        config = dict(unresponsive_prob=0.2, speed_spread=0.5, timeout=5.0)
+        assert (
+            run(_WatchingTR(3), **config).to_json()
+            == run(TraditionalRedundancy(3), **config).to_json()
+        )
+
+
+class TestRunTotalCounters:
+    @staticmethod
+    def _counters(recorder):
+        snapshot = recorder.registry.snapshot()
+        return {
+            name: entry["series"][0]["value"]
+            for name, entry in snapshot.items()
+            if entry["kind"] == "counter" and name.startswith("dca.")
+        }
+
+    def test_totals_match_the_report(self):
+        recorder = TelemetryRecorder()
+        report = run_dca(
+            DcaConfig(
+                strategy=IterativeRedundancy(2),
+                tasks=60,
+                nodes=20,
+                seed=4,
+                unresponsive_prob=0.1,
+                spot_check_rate=0.1,
+            ),
+            recorder=recorder,
+        )
+        counters = self._counters(recorder)
+        assert counters["dca.dispatch"] == report.total_jobs_dispatched
+        assert counters["dca.timeout"] == report.jobs_timed_out > 0
+        assert counters["dca.spot_check"] == report.spot_checks > 0
+        assert counters["dca.complete"] + counters["dca.timeout"] == counters["dca.dispatch"]
+        assert counters["dca.submit"] == counters["dca.accept"] == 60
+
+    def test_zero_totals_record_nothing(self):
+        recorder = TelemetryRecorder()
+        run_dca(
+            DcaConfig(strategy=TraditionalRedundancy(3), tasks=30, nodes=10, seed=4),
+            recorder=recorder,
+        )
+        counters = self._counters(recorder)
+        assert counters["dca.dispatch"] == counters["dca.complete"] == 90
+        assert "dca.timeout" not in counters
+        assert "dca.spot_check" not in counters
+
+    def test_a_run_that_raises_records_no_job_counters(self):
+        class Failing(TraditionalRedundancy):
+            def decide(self, vote):
+                raise RuntimeError("strategy bug")
+
+        recorder = TelemetryRecorder()
+        simulation = DcaSimulation(
+            DcaConfig(strategy=Failing(3), tasks=10, nodes=10, seed=4),
+            recorder=recorder,
+        )
+        with pytest.raises(RuntimeError, match="strategy bug"):
+            simulation.run()
+        assert simulation.server.total_jobs_dispatched > 0
+        assert "dca.dispatch" not in recorder.registry.snapshot()
+        assert "dca.submit" in recorder.registry.snapshot()
 
 
 class TestSpotChecking:

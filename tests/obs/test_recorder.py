@@ -1,5 +1,7 @@
 """Recorder contract: null/tee normalization, buffering, caps."""
 
+import pytest
+
 from repro.obs import NullRecorder, Recorder, TeeRecorder, TelemetryRecorder, active
 
 
@@ -57,6 +59,30 @@ class TestTelemetryRecorder:
         assert len(recorder.spans) == 1
         assert recorder.dropped_spans == 2
 
+    def test_spans_begun_past_the_cap_keep_open_spans_exact(self):
+        recorder = TelemetryRecorder(max_spans=1)
+        recorder.span_begin("job", 1, 0.0, {"node": 1})
+        recorder.span_begin("job", 2, 0.0, {"node": 2})
+        recorder.span_end("job", 1, 1.0)
+        # The cap is now full: later begins keep only the key.
+        recorder.span_begin("job", 3, 1.0, {"node": 3})
+        assert recorder.open_spans == 2
+        recorder.span_end("job", 3, 2.0, {"outcome": "complete"})
+        recorder.span_end("job", 2, 2.0, {"outcome": "complete"})
+        recorder.span_end("job", 4, 2.0)  # unmatched, and past the cap
+        assert recorder.open_spans == 0
+        assert recorder.dropped_spans == 3
+        (span,) = recorder.spans
+        assert (span.key, span.attrs) == (1, {"node": 1})
+
+    def test_begin_attrs_are_copied_below_the_cap(self):
+        recorder = TelemetryRecorder(max_spans=5)
+        attrs = {"node": 1}
+        recorder.span_begin("job", 1, 0.0, attrs)
+        attrs["node"] = 99
+        recorder.span_end("job", 1, 1.0)
+        assert recorder.spans[0].attrs == {"node": 1}
+
     def test_event_cap_drops_and_counts(self):
         recorder = TelemetryRecorder(max_events=2)
         for i in range(5):
@@ -73,6 +99,49 @@ class TestTelemetryRecorder:
         assert snap["c"]["series"][0]["value"] == 3
         assert snap["g"]["series"][0]["value"] == 7
         assert snap["h"]["series"][0]["count"] == 1
+
+    def test_equal_hashing_label_values_stay_distinct_series(self):
+        # False == 0 == 0.0 and they hash alike, but they print apart, so
+        # a memo keyed on raw label values would merge these series.
+        recorder = TelemetryRecorder()
+        for value, times in ((False, 1), (0, 2), (0.0, 3)):
+            for _ in range(times):
+                recorder.count("c", labels={"followup": value})
+                recorder.observe("h", 1.0, labels={"followup": value})
+        counter = recorder.registry.counter("c")
+        histogram = recorder.registry.histogram("h")
+        for value, times in ((False, 1), (0, 2), (0.0, 3)):
+            assert counter.value({"followup": value}) == times
+            assert histogram.count({"followup": value}) == times
+        assert [entry["labels"] for entry in recorder.registry.snapshot()["c"]["series"]] == [
+            {"followup": "0"},
+            {"followup": "0.0"},
+            {"followup": "False"},
+        ]
+
+    def test_label_order_does_not_split_a_series(self):
+        recorder = TelemetryRecorder()
+        recorder.count("c", labels={"a": 1, "b": 2})
+        recorder.count("c", labels={"b": 2, "a": 1})
+        assert recorder.registry.counter("c").value({"a": 1, "b": 2}) == 2
+
+    def test_negative_increment_raises_on_the_cached_family(self):
+        recorder = TelemetryRecorder()
+        with pytest.raises(ValueError, match="cannot decrease"):
+            recorder.count("c", -1)
+        recorder.count("c")
+        with pytest.raises(ValueError, match="cannot decrease"):
+            recorder.count("c", -1)
+        assert recorder.registry.counter("c").value() == 1
+
+    def test_one_name_one_kind_after_the_family_is_cached(self):
+        recorder = TelemetryRecorder()
+        recorder.count("m")
+        recorder.count("m")
+        with pytest.raises(ValueError, match="already registered"):
+            recorder.gauge("m", 1)
+        with pytest.raises(ValueError, match="already registered"):
+            recorder.observe("m", 1.0)
 
     def test_payload_shape(self):
         recorder = TelemetryRecorder()
