@@ -18,6 +18,12 @@ against the committed baseline ``BENCH_<suite>.json`` in ``DIR``:
 Speedups below 1.0 within tolerance are reported but pass: baselines are
 a *floor*, refreshed deliberately (rerun the suites and commit the new
 reports) rather than ratcheted automatically.
+
+A baseline recorded on another machine is still judged, by the same
+gates, but the verdict line names every difference in
+:data:`MACHINE_KEYS` (a key the baseline lacks shows as ``unknown``), so
+a timing verdict across machines is never mistaken for a like-for-like
+one.
 """
 
 from __future__ import annotations
@@ -26,15 +32,36 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.bench.report import report_path
+from repro.bench.report import machine_info, report_path
 
-__all__ = ["compare_report", "compare_to_baseline", "format_comparison"]
+__all__ = [
+    "compare_report",
+    "compare_to_baseline",
+    "format_comparison",
+    "machine_mismatch",
+]
 
 #: Default allowed relative slowdown before a timing counts as a regression.
 DEFAULT_TOLERANCE = 0.15
 
 #: Payload keys that must match exactly for a comparison to be meaningful.
 _COMPAT_KEYS = ("seed", "quick", "params")
+
+#: Machine keys whose differences the verdict reports (never gates on).
+MACHINE_KEYS = ("cpu_count", "python", "numpy")
+
+
+def machine_mismatch(baseline: dict, current: dict) -> List[str]:
+    """``"key baseline -> current"`` for each :data:`MACHINE_KEYS` entry
+    that differs between the two reports' ``machine`` blocks."""
+    base = baseline.get("machine") or {}
+    cur = current.get("machine") or {}
+    lines = []
+    for key in MACHINE_KEYS:
+        was, now = base.get(key, "unknown"), cur.get(key, "unknown")
+        if was != now:
+            lines.append(f"{key} {was} -> {now}")
+    return lines
 
 
 def compare_report(
@@ -58,6 +85,7 @@ def compare_report(
         "tolerance": tolerance,
         "timings": {},
         "problems": [],
+        "machine_mismatch": machine_mismatch(baseline, current),
     }
 
     for key in _COMPAT_KEYS:
@@ -129,12 +157,16 @@ def compare_to_baseline(
     baseline = json.loads(path.read_text())
     document = dict(current)
     document.setdefault("suite", name)
+    document.setdefault("machine", machine_info())
     return compare_report(baseline, document, tolerance=tolerance)
 
 
 def format_comparison(comparison: dict) -> str:
     """One human-readable block per suite for the CLI and CI logs."""
-    lines = [f"{comparison['suite']}: {comparison['verdict'].upper()}"]
+    verdict = f"{comparison['suite']}: {comparison['verdict'].upper()}"
+    if comparison.get("machine_mismatch"):
+        verdict += f" (machine differs: {', '.join(comparison['machine_mismatch'])})"
+    lines = [verdict]
     for name, entry in sorted(comparison.get("timings", {}).items()):
         marker = "REGRESSED" if entry["regressed"] else "ok"
         lines.append(

@@ -24,13 +24,22 @@ SCHEMA_VERSION = 1
 
 
 def machine_info() -> dict:
-    """Where the numbers came from; perf is meaningless without this."""
+    """Where the numbers came from; perf is meaningless without this.
+
+    Includes the numpy version: columnar checksums are byte-identical
+    only for a given numpy (its generators and reductions define them).
+    """
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - exercised only without numpy
+        numpy = None
     return {
         "python": sys.version.split()[0],
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "numpy": numpy.__version__ if numpy is not None else None,
     }
 
 

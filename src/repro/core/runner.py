@@ -43,12 +43,15 @@ def run_task(
         true_value: Ground truth, used only to mark the verdict's
             ``correct`` field (``None`` leaves it unknown).
         task_id: Identifier passed to node-aware strategies.
-        max_waves: Safety valve; iterative redundancy is unbounded in
-            principle, so runaway loops raise instead of spinning.
+        max_waves: Safety valve, at least 1; iterative redundancy is
+            unbounded in principle, so runaway loops raise
+            :class:`WaveLimitExceeded` instead of spinning.
 
     Returns:
         The accepted :class:`TaskVerdict`.
     """
+    if max_waves < 1:
+        raise ValueError(f"max_waves must be at least 1, got {max_waves}")
     vote = VoteState()
     node_aware = is_node_aware(strategy)
     record = vote.record

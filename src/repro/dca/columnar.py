@@ -50,11 +50,15 @@ strategies (iterative, progressive, traditional, complex-iterative) have
 vectorised deciders that replay their ``decide(VoteState)`` arithmetic
 over whole columns, and any other non-node-aware strategy falls back to
 a per-task loop through a real :class:`~repro.core.types.VoteState` --
-slower, but semantically the strategy's own code.  The new regime
-kernels follow the same pattern: each vectorised kernel in ``_KERNELS``
-has a scalar fallback in ``_KERNEL_FALLBACKS`` consuming the *same*
-pre-drawn arrays, and the cross-check tests swap them in and assert
-byte-identical reports.
+slower, but semantically the strategy's own code.
+
+Each wave runs as phases over one run state: churn step, job draws, spot
+gate, segment reductions, horizon cut, fold, and decide/retire.  The
+per-task columns hold only the active tasks, in task order, so a wave is
+contiguous in-place work; finished tasks are written out by id and cut
+away once.  The regime kernels (``_pool_compact``,
+``_spot_tally``, ``_horizon_cut``) are plain functions the phases call;
+the tests check each against a scalar oracle.
 
 Configurations outside the regime (node-aware strategies, non-binary
 failure models) are rejected with :class:`ColumnarUnsupported`; use the
@@ -83,6 +87,7 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 from repro.core.iterative import IterativeRedundancy
 from repro.core.iterative_complex import ComplexIterativeRedundancy
 from repro.core.progressive import ProgressiveRedundancy
+from repro.core.runner import WaveLimitExceeded
 from repro.core.strategy import RedundancyStrategy, is_node_aware
 from repro.core.traditional import TraditionalRedundancy
 from repro.core.types import VoteState
@@ -283,64 +288,20 @@ def _decide_fallback(strategy, a, b):
 
 
 # ---------------------------------------------------------------------------
-# Regime kernels (vectorised + scalar fallbacks, the decider pattern)
+# Regime kernels
 # ---------------------------------------------------------------------------
 
-#: name -> vectorised kernel.  The engine always dispatches through this
-#: table so tests can swap in the scalar fallback from
-#: ``_KERNEL_FALLBACKS`` and assert byte-identical reports -- both
-#: implementations consume the *same* pre-drawn arrays, so any
-#: divergence is a kernel bug, not RNG drift.
-_KERNELS: Dict[str, Callable] = {}
-_KERNEL_FALLBACKS: Dict[str, Callable] = {}
 
-
-def _kernel(name: str, fallback: Callable):
-    def register(fn: Callable) -> Callable:
-        _KERNELS[name] = fn
-        _KERNEL_FALLBACKS[name] = fallback
-        return fn
-
-    return register
-
-
-def _pool_compact_fallback(reliability, speed, ids, keep, new_rel, new_speed, new_ids):
-    """Scalar mirror of the churn pool compaction: keep, then append."""
-    out_rel = [float(reliability[i]) for i in range(reliability.shape[0]) if keep[i]]
-    out_speed = [float(speed[i]) for i in range(speed.shape[0]) if keep[i]]
-    out_ids = [int(ids[i]) for i in range(ids.shape[0]) if keep[i]]
-    for i in range(new_rel.shape[0]):
-        out_rel.append(float(new_rel[i]))
-        out_speed.append(float(new_speed[i]))
-        out_ids.append(int(new_ids[i]))
-    return (
-        np.asarray(out_rel, dtype=np.float64),
-        np.asarray(out_speed, dtype=np.float64),
-        np.asarray(out_ids, dtype=np.int64),
-    )
-
-
-@_kernel("pool_compact", _pool_compact_fallback)
 def _pool_compact(reliability, speed, ids, keep, new_rel, new_speed, new_ids):
     """Apply one churn batch to the pool columns: departures drop rows
     (boolean keep-mask), arrivals append rows.  Returns the new columns."""
     return (
-        np.concatenate((reliability[keep], new_rel)),
-        np.concatenate((speed[keep], new_speed)),
-        np.concatenate((ids[keep], new_ids)),
+        np.concatenate((reliability.compress(keep), new_rel)),
+        np.concatenate((speed.compress(keep), new_speed)),
+        np.concatenate((ids.compress(keep), new_ids)),
     )
 
 
-def _spot_tally_fallback(ids, passed, passes, fails):
-    """Scalar mirror of the spot-check tally: one manager call per check."""
-    for i in range(ids.shape[0]):
-        if passed[i]:
-            passes[ids[i]] += 1
-        else:
-            fails[ids[i]] += 1
-
-
-@_kernel("spot_tally", _spot_tally_fallback)
 def _spot_tally(ids, passed, passes, fails):
     """Fold one wave's spot-check outcomes into the per-node tallies.
 
@@ -351,15 +312,6 @@ def _spot_tally(ids, passed, passes, fails):
     np.add.at(fails, ids[~passed], 1)
 
 
-def _horizon_cut_fallback(start, span, horizon):
-    """Scalar mirror of the horizon truncation mask."""
-    out = np.zeros(start.shape[0], dtype=bool)
-    for i in range(start.shape[0]):
-        out[i] = start[i] + span[i] > horizon
-    return out
-
-
-@_kernel("horizon_cut", _horizon_cut_fallback)
 def _horizon_cut(start, span, horizon):
     """Which active tasks' waves end past the horizon (truncated).
 
@@ -401,12 +353,14 @@ def run_columnar_dca(
             :class:`ColumnarUnsupported` for the supported regime.
         recorder: Optional telemetry recorder; receives run-level
             aggregates (submits, dispatches, timeouts, accepts, makespan).
-        max_waves: Runaway guard; a healthy run needs a handful of waves.
+        max_waves: Runaway guard, at least 1; a healthy run needs a
+            handful of waves.  Exceeding it raises
+            :class:`~repro.core.runner.WaveLimitExceeded`.
 
     Returns:
         A :class:`ColumnarReport` with the Section 4.1 measures.
     """
-    report, _ = _run_columnar(config, recorder, max_waves, collect_columns=False)
+    report, _ = _run_columnar(config, recorder, max_waves)
     return report
 
 
@@ -424,359 +378,404 @@ def run_columnar_dca_columns(
     transport ships instead of pickled payloads (see
     :mod:`repro.parallel.shm`).
     """
-    return _run_columnar(config, recorder, max_waves, collect_columns=True)
+    return _run_columnar(config, recorder, max_waves)
+
+
+#: The active-task columns, cut together as tasks finish.
+_ACTIVE = ("ids", "true_votes", "false_votes", "clock", "jobs_used", "pending")
+
+
+class _Run:
+    """The mutable state of one columnar run, shared by the wave phases.
+
+    The ``_ACTIVE`` columns hold only the tasks still in flight, in task
+    order, so a wave updates them with contiguous in-place ops and cuts
+    finished tasks out once.  A finished task's values land once in the
+    ``done_*`` columns, indexed by task id.
+    """
+
+    def __init__(self, config: DcaConfig) -> None:
+        self.config = config
+        self.strategy = config.strategy
+        self.decider = _DECIDERS.get(type(config.strategy), _decide_fallback)
+        registry = RngRegistry(config.seed).spawn("columnar")
+        self.rng_nodes = np.random.default_rng(registry.spawn("nodes").seed)
+        self.rng_select = np.random.default_rng(registry.spawn("selection").seed)
+        self.rng_failures = np.random.default_rng(registry.spawn("failures").seed)
+        self.rng_durations = np.random.default_rng(registry.spawn("durations").seed)
+        # Spawn seeds are stateless name hashes, so these two streams never
+        # perturb the four legacy ones.
+        self.rng_churn = np.random.default_rng(registry.spawn("churn").seed)
+        self.rng_spot = np.random.default_rng(registry.spawn("spot-checks").seed)
+        self.timeout = config.effective_timeout
+        self.horizon = config.max_time
+        self.has_churn = bool(config.arrival_rate or config.departure_rate)
+        self.has_spot = config.spot_check_rate > 0.0
+
+        # Struct-of-arrays node pool: one column per node attribute.  A
+        # homogeneous pool (fixed reliability, no speed spread) collapses
+        # to scalars: per-job draws are then iid and no node indexing is
+        # needed.  Churn forces real columns even when homogeneous -- the
+        # pool's *membership* varies over time -- plus a stable-id column
+        # so spot-check tallies survive compaction.
+        distribution = config.reliability_distribution
+        homogeneous = config.speed_spread == 0.0 and not _draws(distribution)
+        self.track_nodes = not homogeneous or self.has_churn
+        self.node_reliability = self.node_speed = self.node_ids = None
+        self.pool_size = self.next_node_id = config.nodes
+        self.scalar_reliability = 0.0
+        if homogeneous:
+            self.scalar_reliability = distribution.sample(self.rng_failures)  # no draw
+            if self.has_churn:
+                self.node_reliability = np.full(config.nodes, float(self.scalar_reliability))
+                self.node_speed = np.ones(config.nodes, dtype=np.float64)
+        else:
+            self.node_reliability = _sample_nodes(distribution, self.rng_nodes, config.nodes)
+            self.node_speed = _node_speeds(config, self.rng_nodes, config.nodes)
+        if self.has_churn:
+            self.node_ids = np.arange(config.nodes, dtype=np.int64)
+        # Grow-only per-node spot-check tallies, indexed by stable node id
+        # (== pool position when there is no churn).
+        self.spot_passes = np.zeros(config.nodes, dtype=np.int64)
+        self.spot_fails = np.zeros(config.nodes, dtype=np.int64)
+
+        tasks = config.tasks
+        self.ids = np.arange(tasks, dtype=np.int64)
+        self.true_votes, self.false_votes, self.jobs_used = (
+            np.zeros(tasks, dtype=np.int64) for _ in range(3)
+        )
+        self.clock = np.zeros(tasks, dtype=np.float64)
+        self.pending = np.full(tasks, self.strategy.initial_jobs(), dtype=np.int64)
+        self.done_true = np.zeros(tasks, dtype=bool)
+        self.done_clock = np.zeros(tasks, dtype=np.float64)
+        self.done_jobs = np.zeros(tasks, dtype=np.int64)
+        self.done_waves = np.zeros(tasks, dtype=np.int64)  # 0 until done
+        self.wave = self.dispatched = self.timed_out = 0
+        self.spot_checks = self.joins = self.departures = 0
+        self.frontier = 0.0  # global clock: the latest wave-end seen so far
+        self.churn_clock = 0.0  # pool state is current up to this time
+
+    def keep(self, rows) -> None:
+        """Keep only the active tasks at positions ``rows``."""
+        for name in _ACTIVE:
+            setattr(self, name, getattr(self, name).take(rows))
 
 
 def _run_columnar(
     config: DcaConfig,
     recorder: Optional[Recorder],
     max_waves: int,
-    *,
-    collect_columns: bool,
 ) -> Tuple[ColumnarReport, Dict[str, "np.ndarray"]]:
+    if max_waves < 1:
+        raise ValueError(f"max_waves must be at least 1, got {max_waves}")
     _require_numpy()
     _validate(config)
-    strategy = config.strategy
-    decider = _DECIDERS.get(type(strategy), _decide_fallback)
-
-    registry = RngRegistry(config.seed).spawn("columnar")
-    rng_nodes = np.random.default_rng(registry.spawn("nodes").seed)
-    rng_select = np.random.default_rng(registry.spawn("selection").seed)
-    rng_failures = np.random.default_rng(registry.spawn("failures").seed)
-    rng_durations = np.random.default_rng(registry.spawn("durations").seed)
-    # Spawn seeds are stateless name hashes, so these two extra streams
-    # cannot perturb the four legacy ones: the contention-free path draws
-    # exactly the sequence it drew before churn/spot-check support.
-    rng_churn = np.random.default_rng(registry.spawn("churn").seed)
-    rng_spot = np.random.default_rng(registry.spawn("spot-checks").seed)
-
-    tasks = config.tasks
-    timeout = config.effective_timeout
-    silent_prob = config.unresponsive_prob
-    spot_rate = config.spot_check_rate
-    horizon = config.max_time
-    arrival_rate = config.arrival_rate
-    departure_rate = config.departure_rate
-    has_churn = bool(arrival_rate or departure_rate)
-    has_spot = spot_rate > 0.0
-
-    # Struct-of-arrays node pool: one column per node attribute.  A
-    # homogeneous pool (fixed reliability, no speed spread) collapses to
-    # scalars: per-job draws are then iid and no node indexing is needed.
-    # Churn forces real columns even when homogeneous -- the pool's
-    # *membership* varies over time -- plus a stable-id column so
-    # spot-check tallies survive compaction.
-    distribution = config.reliability_distribution
-    homogeneous = config.speed_spread == 0.0 and not _draws(distribution)
-    track_nodes = not homogeneous or has_churn
-    node_reliability = None
-    node_speed = None
-    node_ids = None
-    if homogeneous:
-        scalar_reliability = distribution.sample(rng_failures)  # no draw
-        if has_churn:
-            node_reliability = np.full(config.nodes, float(scalar_reliability))
-            node_speed = np.ones(config.nodes, dtype=np.float64)
-    else:
-        node_reliability = np.asarray(
-            [distribution.sample(_NumpyRandom(rng_nodes)) for _ in range(config.nodes)],
-            dtype=np.float64,
-        )
-        node_speed = 1.0 + config.speed_spread * rng_nodes.uniform(
-            -1.0, 1.0, config.nodes
-        )
-        scalar_reliability = 0.0
-    if has_churn:
-        node_ids = np.arange(config.nodes, dtype=np.int64)
-    next_node_id = config.nodes
-
-    # Grow-only per-node spot-check tallies, indexed by stable node id
-    # (== pool position when there is no churn).
-    spot_passes = spot_fails = None
-    if has_spot:
-        spot_passes = np.zeros(config.nodes, dtype=np.int64)
-        spot_fails = np.zeros(config.nodes, dtype=np.int64)
-
-    # Per-task columns (the struct-of-arrays _TaskState).
-    true_votes = np.zeros(tasks, dtype=np.int64)
-    false_votes = np.zeros(tasks, dtype=np.int64)
-    jobs_used = np.zeros(tasks, dtype=np.int64)
-    waves = np.zeros(tasks, dtype=np.int64)
-    clock = np.zeros(tasks, dtype=np.float64)
-    accepted_true = np.zeros(tasks, dtype=bool)
-    completed = np.zeros(tasks, dtype=bool)
-
-    active = np.arange(tasks, dtype=np.int64)
-    pending = np.full(tasks, strategy.initial_jobs(), dtype=np.int64)
-
+    run = _Run(config)
     rec = active_recorder(recorder)
     if rec is not None:
-        rec.count(DCA_SUBMITS, tasks)
-
-    total_dispatched = 0
-    timed_out = 0
-    spot_checks = 0
-    joins = 0
-    departures = 0
-    frontier = 0.0  # global clock: the latest wave-end seen so far
-    churn_clock = 0.0  # pool state is current up to this time
-    wave = 0
-    while active.size:
-        wave += 1
-        if wave > max_waves:
-            raise RuntimeError(
-                f"columnar run exceeded {max_waves} waves; "
-                "the strategy may not be converging"
+        rec.count(DCA_SUBMITS, config.tasks)
+    while run.ids.size:
+        run.wave += 1
+        if run.wave > max_waves:
+            raise WaveLimitExceeded(
+                f"{run.strategy.describe()} exceeded {max_waves} columnar "
+                "waves; the strategy may not be converging"
             )
+        if run.has_churn and run.wave > 1:
+            _churn_step(run)
+        width, ends, jobs = _segments(run.pending)
+        run.dispatched += jobs
+        draws = _draw_jobs(run, jobs)
+        if run.has_spot:
+            _spot_gate(run, width)
+        wave = _reduce_wave(run.pending, width, ends, *draws)
+        if run.horizon is not None:
+            wave = _cut_at_horizon(run, *wave)
+        _fold(run, *wave)
+        if run.ids.size:
+            _decide_retire(run)
+    return _report(run, rec)
 
-        # -- churn step: bring the pool forward to the global frontier.
-        # Wave boundaries are the model's churn resolution: departures
-        # drop uniform rows, arrivals append freshly drawn nodes, both
-        # Poisson in the frontier time elapsed since the last step.
-        if has_churn and wave > 1:
-            now = frontier if horizon is None else min(frontier, horizon)
-            dt = now - churn_clock
-            churn_clock = now
-            pool_size = node_reliability.shape[0]
-            n_dep = 0
-            n_arr = 0
-            if departure_rate and dt > 0.0:
-                # The DES departure event only fires while >1 node is
-                # alive; the batch equivalent caps at pool_size - 1.
-                n_dep = min(int(rng_churn.poisson(departure_rate * dt)), pool_size - 1)
-            if arrival_rate and dt > 0.0:
-                n_arr = int(rng_churn.poisson(arrival_rate * dt))
-            if n_dep or n_arr:
-                keep = np.ones(pool_size, dtype=bool)
-                if n_dep:
-                    gone = rng_churn.choice(pool_size, size=n_dep, replace=False)
-                    keep[gone] = False
-                if n_arr:
-                    new_rel = np.asarray(
-                        [
-                            distribution.sample(_NumpyRandom(rng_churn))
-                            for _ in range(n_arr)
-                        ],
-                        dtype=np.float64,
-                    )
-                    if config.speed_spread > 0.0:
-                        new_speed = 1.0 + config.speed_spread * rng_churn.uniform(
-                            -1.0, 1.0, n_arr
-                        )
-                    else:
-                        new_speed = np.ones(n_arr, dtype=np.float64)
-                    new_ids = np.arange(
-                        next_node_id, next_node_id + n_arr, dtype=np.int64
-                    )
-                    next_node_id += n_arr
-                    if has_spot:
-                        spot_passes = np.concatenate(
-                            (spot_passes, np.zeros(n_arr, dtype=np.int64))
-                        )
-                        spot_fails = np.concatenate(
-                            (spot_fails, np.zeros(n_arr, dtype=np.int64))
-                        )
-                else:
-                    new_rel = np.empty(0, dtype=np.float64)
-                    new_speed = np.empty(0, dtype=np.float64)
-                    new_ids = np.empty(0, dtype=np.int64)
-                node_reliability, node_speed, node_ids = _KERNELS["pool_compact"](
-                    node_reliability, node_speed, node_ids, keep, new_rel, new_speed, new_ids
-                )
-                departures += n_dep
-                joins += n_arr
 
-        counts = pending[active]
-        segments = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        jobs = int(counts.sum())
-        total_dispatched += jobs
-        pool_size = node_reliability.shape[0] if track_nodes else config.nodes
+def _sample_nodes(distribution, rng, count: int):
+    """``count`` fresh nodes' reliability column, sampled from ``rng``."""
+    return np.asarray(
+        [distribution.sample(_NumpyRandom(rng)) for _ in range(count)], dtype=np.float64
+    )
 
-        # Job draws, one column per quantity over this wave's jobs.
-        if track_nodes:
-            node_index = rng_select.integers(0, pool_size, jobs)
-            reliability = node_reliability[node_index]
-            speed = node_speed[node_index]
-        else:
-            reliability = scalar_reliability
-            speed = 1.0
-        silent = (
-            rng_failures.random(jobs) < silent_prob
-            if silent_prob
-            else np.zeros(jobs, dtype=bool)
-        )
-        correct = rng_failures.random(jobs) < reliability
-        duration = rng_durations.uniform(config.duration_low, config.duration_high, jobs)
-        duration = duration * speed
-        # A job responds only if the node speaks up *and* beats the
-        # deadline (the DES deadline event outruns a same-time completion).
-        responded = ~silent & (duration < timeout)
-        response_time = np.where(responded, duration, timeout)
 
-        # -- spot-checks: replay the task server's assignment gate.  Every
-        # assignment attempt draws once; a diverted slot is re-assigned
-        # and draws again, so the rounds shrink geometrically.  All
-        # spot-related randomness comes from its own stream, so enabling
-        # spot-checks never perturbs the task outcome draws above.
-        if has_spot:
-            start = clock[active]  # this wave's dispatch time, per task
-            spot_starts = []
-            pending_starts = np.repeat(start, counts)
-            while pending_starts.size:
-                gate = rng_spot.random(pending_starts.size)
-                pending_starts = pending_starts[gate < spot_rate]
-                if pending_starts.size:
-                    spot_starts.append(pending_starts)
-            if spot_starts:
-                spot_start = np.concatenate(spot_starts)
-                n_spot = spot_start.shape[0]
-                spot_checks += n_spot
-                total_dispatched += n_spot
-                if track_nodes:
-                    spot_index = rng_spot.integers(0, pool_size, n_spot)
-                    spot_reliability = node_reliability[spot_index]
-                    spot_speed = node_speed[spot_index]
-                else:
-                    spot_index = rng_spot.integers(0, config.nodes, n_spot)
-                    spot_reliability = scalar_reliability
-                    spot_speed = 1.0
-                spot_silent = (
-                    rng_spot.random(n_spot) < silent_prob
-                    if silent_prob
-                    else np.zeros(n_spot, dtype=bool)
-                )
-                spot_correct = rng_spot.random(n_spot) < spot_reliability
-                spot_duration = (
-                    rng_spot.uniform(config.duration_low, config.duration_high, n_spot)
-                    * spot_speed
-                )
-                spot_responded = ~spot_silent & (spot_duration < timeout)
-                # The server learns an outcome when its event fires: the
-                # completion (pass or wrong answer) or the deadline
-                # (silent / too slow -> also a timed-out job).  Under a
-                # horizon, events past it never fire.
-                if horizon is None:
-                    completion_seen = np.ones(n_spot, dtype=bool)
-                    deadline_seen = np.ones(n_spot, dtype=bool)
-                else:
-                    completion_seen = spot_start + spot_duration <= horizon
-                    deadline_seen = spot_start + timeout <= horizon
-                spot_timed_out = ~spot_responded & deadline_seen
-                timed_out += int(spot_timed_out.sum())
-                seen = np.where(spot_responded, completion_seen, deadline_seen)
-                passed = spot_responded & spot_correct
-                ids = node_ids[spot_index] if has_churn else spot_index
-                _KERNELS["spot_tally"](
-                    ids[seen], passed[seen], spot_passes, spot_fails
-                )
+def _node_speeds(config: DcaConfig, rng, count: int):
+    """``count`` fresh nodes' speed column.  Without a speed spread every
+    speed is exactly 1.0, so the engine never scales a duration by it."""
+    if config.speed_spread > 0.0 and count:
+        return 1.0 + config.speed_spread * rng.uniform(-1.0, 1.0, count)
+    return np.ones(count, dtype=np.float64)
 
-        # Fold the wave into the tallies with segment reductions.
-        true_wave = np.add.reduceat((responded & correct).astype(np.int64), segments)
-        false_wave = np.add.reduceat((responded & ~correct).astype(np.int64), segments)
-        span = np.maximum.reduceat(response_time, segments)
 
-        if horizon is not None:
-            truncated = _KERNELS["horizon_cut"](clock[active], span, horizon)
-        else:
-            truncated = None
-        if truncated is not None and truncated.any():
-            # Truncated waves were dispatched (counted above) but resolve
-            # past the horizon: no votes land, no decision happens, and
-            # their deadline events never fire (a wave with any timed-out
-            # job spans the full timeout, which the cut proves is past
-            # the horizon) -- so they add nothing to jobs_timed_out.
-            live = ~truncated
-            live_tasks = active[live]
-            wave_end = clock[active] + span
-            responded_per_task = np.add.reduceat(responded.astype(np.int64), segments)
-            timed_out += int((counts[live] - responded_per_task[live]).sum())
-            true_votes[live_tasks] += true_wave[live]
-            false_votes[live_tasks] += false_wave[live]
-            clock[live_tasks] += span[live]
-            jobs_used[live_tasks] += counts[live]
-            waves[live_tasks] += 1
-            frontier = max(frontier, float(wave_end.max()))
-            active = live_tasks
-            if not active.size:
-                break
-            accept, value, more = decider(
-                strategy, true_votes[active], false_votes[active]
-            )
-        else:
-            true_votes[active] += true_wave
-            false_votes[active] += false_wave
-            timed_out += jobs - int(responded.sum())
-            # Wave-synchronous clock: the wave resolves at its slowest job.
-            clock[active] += span
-            jobs_used[active] += counts
-            waves[active] += 1
-            frontier = max(frontier, float(clock[active].max()))
-            accept, value, more = decider(
-                strategy, true_votes[active], false_votes[active]
-            )
-        done = active[accept]
-        accepted_true[done] = value[accept]
-        completed[done] = True
-        pending[active] = more
-        active = active[~accept]
+def _churn_step(run: _Run) -> None:
+    """Bring the pool forward to the global frontier.
 
-    completed_count = int(completed.sum())
-    if horizon is not None and completed_count < tasks:
+    Wave boundaries are the model's churn resolution: departures drop
+    uniform rows, arrivals append freshly drawn nodes, both Poisson in
+    the frontier time elapsed since the last step.
+    """
+    config, rng = run.config, run.rng_churn
+    now = run.frontier if run.horizon is None else min(run.frontier, run.horizon)
+    dt = now - run.churn_clock
+    run.churn_clock = now
+    n_dep = n_arr = 0
+    if config.departure_rate and dt > 0.0:
+        # The DES departure event only fires while >1 node is alive; the
+        # batch equivalent caps at pool_size - 1.
+        n_dep = min(int(rng.poisson(config.departure_rate * dt)), run.pool_size - 1)
+    if config.arrival_rate and dt > 0.0:
+        n_arr = int(rng.poisson(config.arrival_rate * dt))
+    if not (n_dep or n_arr):
+        return
+    keep = np.ones(run.pool_size, dtype=bool)
+    if n_dep:
+        keep[rng.choice(run.pool_size, size=n_dep, replace=False)] = False
+    new_rel = _sample_nodes(config.reliability_distribution, rng, n_arr)
+    new_speed = _node_speeds(config, rng, n_arr)
+    new_ids = np.arange(run.next_node_id, run.next_node_id + n_arr, dtype=np.int64)
+    run.next_node_id += n_arr
+    if n_arr and run.has_spot:
+        grow = np.zeros(n_arr, dtype=np.int64)
+        run.spot_passes = np.concatenate((run.spot_passes, grow))
+        run.spot_fails = np.concatenate((run.spot_fails, grow))
+    run.node_reliability, run.node_speed, run.node_ids = _pool_compact(
+        run.node_reliability, run.node_speed, run.node_ids, keep, new_rel, new_speed, new_ids
+    )
+    run.pool_size = run.node_reliability.shape[0]
+    run.departures += n_dep
+    run.joins += n_arr
+
+
+def _segments(counts):
+    """``(width, ends, jobs)``: each task's jobs are a contiguous run of
+    the wave's job columns, ``width`` long when every task dispatches the
+    same count (every first wave, every traditional wave), else ending
+    at ``ends``."""
+    width = int(counts[0])
+    if counts.min() == counts.max():
+        return width, None, width * counts.shape[0]
+    ends = np.cumsum(counts)
+    return 0, ends, int(ends[-1])
+
+
+def _outcomes(run: _Run, count: int, index, failures, durations):
+    """``(correct, silent, duration)`` of ``count`` jobs on pool rows
+    ``index``, drawn silent-then-correct from ``failures``; ``silent`` is
+    None when no node goes silent."""
+    config = run.config
+    reliability = run.node_reliability[index] if run.track_nodes else run.scalar_reliability
+    silent = None
+    if config.unresponsive_prob:
+        silent = failures.random(count) < config.unresponsive_prob
+    correct = failures.random(count) < reliability
+    duration = durations.uniform(config.duration_low, config.duration_high, count)
+    if config.speed_spread:
+        duration *= run.node_speed[index]
+    return correct, silent, duration
+
+
+def _draw_jobs(run: _Run, jobs: int):
+    """``(good, responded, response_time)`` of one wave's jobs: ``good``
+    marks the true values returned in time, ``responded`` is None when
+    every job responded."""
+    index = None
+    if run.track_nodes:
+        index = run.rng_select.integers(0, run.pool_size, jobs)
+    good, silent, duration = _outcomes(
+        run, jobs, index, run.rng_failures, run.rng_durations
+    )
+    if silent is None and duration.max() < run.timeout:
+        return good, None, duration
+    # A job responds only if its node speaks up *and* beats the deadline
+    # (the DES deadline event outruns a same-time completion).
+    responded = duration < run.timeout
+    if silent is not None:
+        responded &= ~silent
+    good &= responded
+    return good, responded, np.where(responded, duration, run.timeout)
+
+
+def _spot_gate(run: _Run, width: int) -> None:
+    """Replay the task server's assignment gate for spot checks.
+
+    Every assignment attempt draws once; a diverted slot is re-assigned
+    and draws again, so the rounds shrink geometrically.  All
+    spot-related randomness comes from its own stream, so enabling spot
+    checks never perturbs the task outcome draws.
+    """
+    rng = run.rng_spot
+    # This wave's dispatch time, once per job.
+    pending_starts = np.repeat(run.clock, width or run.pending)
+    spot_starts = []
+    while pending_starts.size:
+        gate = rng.random(pending_starts.size)
+        pending_starts = pending_starts.compress(gate < run.config.spot_check_rate)
+        if pending_starts.size:
+            spot_starts.append(pending_starts)
+    if not spot_starts:
+        return
+    spot_start = np.concatenate(spot_starts)
+    n_spot = spot_start.shape[0]
+    run.spot_checks += n_spot
+    run.dispatched += n_spot
+    spot_index = rng.integers(0, run.pool_size, n_spot)
+    correct, silent, duration = _outcomes(run, n_spot, spot_index, rng, rng)
+    responded = duration < run.timeout
+    if silent is not None:
+        responded &= ~silent
+    # The server learns an outcome when its event fires: the completion
+    # (pass or wrong answer) or the deadline (silent / too slow -> also a
+    # timed-out job).  Under a horizon, events past it never fire.
+    if run.horizon is None:
+        completion_seen = deadline_seen = np.ones(n_spot, dtype=bool)
+    else:
+        completion_seen = spot_start + duration <= run.horizon
+        deadline_seen = spot_start + run.timeout <= run.horizon
+    run.timed_out += int((~responded & deadline_seen).sum())
+    seen = np.where(responded, completion_seen, deadline_seen)
+    passed = responded & correct
+    ids = run.node_ids[spot_index] if run.has_churn else spot_index
+    _spot_tally(ids[seen], passed[seen], run.spot_passes, run.spot_fails)
+
+
+def _strided(ufunc, column, width: int, dtype=None):
+    """Reduce each task's ``width`` consecutive jobs with ``ufunc``:
+    ``width - 1`` strided in-place calls."""
+    out = column[::width].astype(dtype or column.dtype)
+    for offset in range(1, width):
+        ufunc(out, column[offset::width], out=out)
+    return out
+
+
+def _segment_counts(flags, width: int, ends):
+    """Per-task counts of a wave's True job flags."""
+    if width:
+        return _strided(np.add, flags, width, np.int64)
+    # One running sum, differenced at the segment ends.  A wave's job
+    # count fits int32 (its float64 columns alone would need 16 GiB
+    # past it), and the narrower sum is ~3x faster.
+    running = np.cumsum(flags, dtype=np.int32)
+    return np.diff(running[ends - 1], prepend=0)
+
+
+def _reduce_wave(counts, width: int, ends, good, responded, response_time):
+    """Per-task ``(true votes, responses, span)`` of one wave; a task's
+    wave resolves at its slowest job."""
+    true_wave = _segment_counts(good, width, ends)
+    responses = counts if responded is None else _segment_counts(responded, width, ends)
+    if width:
+        span = _strided(np.maximum, response_time, width)
+    else:
+        span = np.maximum.reduceat(response_time, ends - counts)
+    return true_wave, responses, span
+
+
+def _cut_at_horizon(run: _Run, true_wave, responses, span):
+    """Drop the tasks whose wave ends past the horizon.  Their jobs were
+    dispatched (and counted), but no vote lands, no decision happens, and
+    no deadline fires (a wave with a timed-out job spans the full
+    timeout, which the cut proves is past the horizon)."""
+    truncated = _horizon_cut(run.clock, span, run.horizon)
+    if not truncated.any():
+        return true_wave, responses, span
+    if run.has_churn:
+        run.frontier = max(run.frontier, float((run.clock + span).max()))
+    live = np.flatnonzero(~truncated)
+    run.keep(live)
+    return true_wave.take(live), responses.take(live), span.take(live)
+
+
+def _fold(run: _Run, true_wave, responses, span) -> None:
+    """Add one wave into the live tasks' tallies, clocks and job counts."""
+    run.true_votes += true_wave
+    run.false_votes += responses
+    run.false_votes -= true_wave
+    if responses is not run.pending:
+        run.timed_out += int(run.pending.sum() - responses.sum())
+    # Wave-synchronous clock: the wave resolves at its slowest job.
+    run.clock += span
+    run.jobs_used += run.pending
+    if run.has_churn and run.clock.size:
+        run.frontier = max(run.frontier, float(run.clock.max()))
+
+
+def _decide_retire(run: _Run) -> None:
+    """Decide every live task; write the accepted ones' results into the
+    ``done_*`` columns by id and cut them out.  Every task starts at
+    wave 1 and truncated ones leave for good, so an accepted task has run
+    exactly ``run.wave`` waves."""
+    accept, value, more = run.decider(run.strategy, run.true_votes, run.false_votes)
+    run.pending = np.asarray(more, dtype=np.int64)
+    if not accept.any():
+        return
+    rows = np.flatnonzero(accept)
+    done = run.ids.take(rows)
+    run.done_true[done] = value.take(rows)
+    run.done_clock[done] = run.clock.take(rows)
+    run.done_jobs[done] = run.jobs_used.take(rows)
+    run.done_waves[done] = run.wave
+    run.keep(np.flatnonzero(~accept))
+
+
+def _report(run: _Run, rec) -> Tuple[ColumnarReport, Dict[str, "np.ndarray"]]:
+    """The run's report and its per-task columns over completed tasks."""
+    config = run.config
+    completed = run.done_waves > 0
+    columns = {
+        "response_time": run.done_clock.compress(completed),
+        "jobs_used": run.done_jobs.compress(completed),
+        "waves": run.done_waves.compress(completed),
+        "correct": run.done_true.compress(completed),
+    }
+    clock, jobs_used = columns["response_time"], columns["jobs_used"]
+    completed_count = clock.shape[0]
+    if run.horizon is not None and completed_count < config.tasks:
         # Incomplete at the horizon: the DES clock stops exactly there.
-        makespan = float(horizon)
+        makespan = float(run.horizon)
     elif completed_count:
         # All done (or no horizon): the run ends at the last decision.
-        makespan = float(clock[completed].max())
+        makespan = float(clock.max())
     else:
         makespan = 0.0
     if rec is not None:
-        rec.count(DCA_DISPATCHES, total_dispatched)
-        rec.count(DCA_TIMEOUTS, timed_out)
+        rec.count(DCA_DISPATCHES, run.dispatched)
+        rec.count(DCA_TIMEOUTS, run.timed_out)
         rec.count(DCA_ACCEPTS, completed_count)
-        if spot_checks:
-            rec.count(DCA_SPOT_CHECKS, spot_checks)
+        if run.spot_checks:
+            rec.count(DCA_SPOT_CHECKS, run.spot_checks)
         rec.gauge(DCA_MAKESPAN, makespan)
-
+    # The DES report yields nan means over zero records, 0 extremes.
+    mean_response = max_response = mean_waves = math.nan
+    total_jobs = max_jobs = 0
     if completed_count:
-        done_clock = clock[completed]
-        mean_response = float(done_clock.mean())
-        max_response = float(done_clock.max())
-        mean_waves = float(waves[completed].mean())
-        total_jobs = int(jobs_used[completed].sum())
-        max_jobs = int(jobs_used[completed].max())
-    else:
-        # The DES report yields nan means over zero records, 0 extremes.
-        mean_response = math.nan
-        max_response = math.nan
-        mean_waves = math.nan
-        total_jobs = 0
-        max_jobs = 0
+        mean_response = float(clock.mean())
+        max_response = float(clock.max())
+        mean_waves = float(columns["waves"].mean())
+        total_jobs = int(jobs_used.sum())
+        max_jobs = int(jobs_used.max())
     report = ColumnarReport(
-        strategy=strategy.describe(),
-        tasks_submitted=tasks,
+        strategy=run.strategy.describe(),
+        tasks_submitted=config.tasks,
         tasks_completed=completed_count,
-        tasks_correct=int(accepted_true[completed].sum()),
+        tasks_correct=int(columns["correct"].sum()),
         total_jobs=total_jobs,
         max_jobs_per_task=max_jobs,
         mean_response_time=mean_response,
         max_response_time=max_response,
         mean_waves=mean_waves,
         makespan=makespan,
-        jobs_timed_out=timed_out,
+        jobs_timed_out=run.timed_out,
         seed=config.seed,
-        spot_checks=spot_checks,
-        nodes_blacklisted=int((spot_fails > 0).sum()) if has_spot else 0,
-        nodes_joined=joins,
-        nodes_departed=departures,
+        spot_checks=run.spot_checks,
+        nodes_blacklisted=int((run.spot_fails > 0).sum()),
+        nodes_joined=run.joins,
+        nodes_departed=run.departures,
     )
-    columns: Dict[str, "np.ndarray"] = {}
-    if collect_columns:
-        columns = {
-            "response_time": clock[completed],
-            "jobs_used": jobs_used[completed],
-            "waves": waves[completed],
-            "correct": accepted_true[completed],
-        }
     return report, columns
 
 

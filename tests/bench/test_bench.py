@@ -8,7 +8,7 @@ import pytest
 
 from repro.bench import SCHEMA_VERSION, SUITES, run_suite, time_callable, write_report
 from repro.bench.cli import main as bench_main
-from repro.bench.report import report_path
+from repro.bench.report import machine_info, report_path
 
 
 class TestTiming:
@@ -44,6 +44,10 @@ class TestReport:
         assert document["checksum"] == "abc"
         machine = document["machine"]
         assert machine["python"] and machine["cpu_count"] >= 1
+
+    def test_machine_info_names_the_numpy_version(self):
+        numpy = pytest.importorskip("numpy")
+        assert machine_info()["numpy"] == numpy.__version__
 
 
 class TestSuites:

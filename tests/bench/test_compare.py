@@ -11,7 +11,7 @@ from repro.bench.compare import (
     compare_to_baseline,
     format_comparison,
 )
-from repro.bench.report import write_report
+from repro.bench.report import machine_info, report_path, write_report
 
 
 def _payload(best=1.0, checksum="abc", seed=0, quick=True, params=None):
@@ -86,6 +86,63 @@ class TestCompareReport:
         text = format_comparison(compare_report(_payload(1.0), _payload(0.5)))
         assert "OK" in text
         assert "x2.00" in text
+
+
+def _on(machine, payload):
+    return {**payload, "machine": machine}
+
+
+_BOX = {"cpu_count": 2, "python": "3.11.7", "numpy": "2.4.6", "platform": "a"}
+
+
+class TestMachineMismatch:
+    """A machine difference is reported in the verdict, never gated on."""
+
+    def test_same_machine_reports_nothing(self):
+        other_platform = dict(_BOX, platform="b")
+        comparison = compare_report(_on(_BOX, _payload()), _on(other_platform, _payload()))
+        assert comparison["machine_mismatch"] == []
+        assert "machine differs" not in format_comparison(comparison)
+
+    def test_cpu_count_difference_is_named_and_verdict_unchanged(self):
+        comparison = compare_report(
+            _on(dict(_BOX, cpu_count=1), _payload(best=1.0)),
+            _on(_BOX, _payload(best=0.5)),
+        )
+        assert comparison["verdict"] == "ok"
+        assert comparison["machine_mismatch"] == ["cpu_count 1 -> 2"]
+        first_line = format_comparison(comparison).splitlines()[0]
+        assert first_line == "unit: OK (machine differs: cpu_count 1 -> 2)"
+
+    def test_baseline_without_numpy_shows_unknown(self):
+        old = {key: value for key, value in _BOX.items() if key != "numpy"}
+        comparison = compare_report(_on(old, _payload()), _on(_BOX, _payload()))
+        assert comparison["machine_mismatch"] == ["numpy unknown -> 2.4.6"]
+
+    def test_mismatch_does_not_loosen_a_regression(self):
+        comparison = compare_report(
+            _on(dict(_BOX, python="3.9.1"), _payload(best=1.0)),
+            _on(_BOX, _payload(best=1.5)),
+            tolerance=0.15,
+        )
+        assert comparison["verdict"] == "regression"
+        assert comparison["machine_mismatch"] == ["python 3.9.1 -> 3.11.7"]
+        assert "REGRESSION (machine differs: python" in format_comparison(comparison)
+
+    def test_fresh_payload_is_judged_as_this_machine(self, tmp_path):
+        write_report("unit", _payload(), output_dir=tmp_path)
+        assert compare_to_baseline("unit", _payload(), tmp_path)["machine_mismatch"] == []
+        path = report_path("unit", tmp_path, quick=True)
+        document = json.loads(path.read_text())
+        document["machine"]["cpu_count"] = -1
+        del document["machine"]["numpy"]
+        path.write_text(json.dumps(document))
+        comparison = compare_to_baseline("unit", _payload(), tmp_path)
+        here = machine_info()
+        assert comparison["machine_mismatch"] == [
+            f"cpu_count -1 -> {here['cpu_count']}",
+            f"numpy unknown -> {here['numpy']}",
+        ]
 
 
 class TestCompareToBaseline:

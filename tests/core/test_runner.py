@@ -42,6 +42,15 @@ class TestRunTask:
         with pytest.raises(WaveLimitExceeded):
             run_task(Forever(), scripted_source([True] * 100), max_waves=10)
 
+    @pytest.mark.parametrize("max_waves", [0, -3])
+    def test_rejects_a_wave_limit_below_one(self, max_waves):
+        with pytest.raises(ValueError, match="max_waves"):
+            run_task(
+                TraditionalRedundancy(3),
+                scripted_source([True] * 3),
+                max_waves=max_waves,
+            )
+
     def test_scripted_source_exhaustion_raises(self):
         with pytest.raises(IndexError):
             run_task(TraditionalRedundancy(5), scripted_source([True, True]))

@@ -7,10 +7,13 @@ deterministic given the seed, (b) statistically indistinguishable from
 the DES on the paper's measures, (c) honest about the regime it
 supports, and (d) faithful to the strategies' decide() semantics (the
 vectorized deciders are cross-checked against the per-task
-``VoteState`` fallback).
+``VoteState`` fallback).  The regime kernels are checked against scalar
+oracles on generated arrays; whole-run output is pinned by digest in
+``test_columnar_identity.py``.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
@@ -23,6 +26,9 @@ from repro.core import (
     TraditionalRedundancy,
 )
 from repro.core.distributions import BetaReliability
+from repro.core.runner import WaveLimitExceeded
+from repro.core.strategy import RedundancyStrategy
+from repro.core.types import Decision
 from repro.dca import (
     ByzantineCollusion,
     ColumnarUnsupported,
@@ -34,9 +40,10 @@ from repro.dca import (
 )
 from repro.dca.columnar import (
     _DECIDERS,
-    _KERNEL_FALLBACKS,
-    _KERNELS,
     _decide_fallback,
+    _horizon_cut,
+    _pool_compact,
+    _spot_tally,
 )
 from repro.obs import TelemetryRecorder
 
@@ -47,19 +54,100 @@ def _config(strategy, **overrides):
     return DcaConfig(strategy=strategy, **params)
 
 
-def _kernel_cross_check(monkeypatch, config):
-    """Vectorised kernels vs scalar fallbacks: byte-identical reports.
+# Scalar oracles for the regime kernels: one Python step per row, the
+# plain reading of what each kernel must compute.
 
-    Both implementations consume the same pre-drawn arrays (the decider
-    cross-check pattern), so equality here is exact, not statistical.
-    """
-    fast = run_columnar_dca(config)
-    for name, fallback in _KERNEL_FALLBACKS.items():
-        monkeypatch.setitem(_KERNELS, name, fallback)
-    slow = run_columnar_dca(config)
-    assert fast == slow
-    assert fast.as_dict() == slow.as_dict()
-    return fast
+
+def _pool_compact_oracle(reliability, speed, ids, keep, new_rel, new_speed, new_ids):
+    """Keep the rows where ``keep`` holds, then append the arrivals."""
+    out_rel = [float(reliability[i]) for i in range(reliability.shape[0]) if keep[i]]
+    out_speed = [float(speed[i]) for i in range(speed.shape[0]) if keep[i]]
+    out_ids = [int(ids[i]) for i in range(ids.shape[0]) if keep[i]]
+    for i in range(new_rel.shape[0]):
+        out_rel.append(float(new_rel[i]))
+        out_speed.append(float(new_speed[i]))
+        out_ids.append(int(new_ids[i]))
+    return (
+        np.asarray(out_rel, dtype=np.float64),
+        np.asarray(out_speed, dtype=np.float64),
+        np.asarray(out_ids, dtype=np.int64),
+    )
+
+
+def _spot_tally_oracle(ids, passed, passes, fails):
+    """One tally step per check, like one manager call per check."""
+    for i in range(ids.shape[0]):
+        if passed[i]:
+            passes[ids[i]] += 1
+        else:
+            fails[ids[i]] += 1
+
+
+def _horizon_cut_oracle(start, span, horizon):
+    """A wave is cut when its end lands strictly past the horizon."""
+    out = np.zeros(start.shape[0], dtype=bool)
+    for i in range(start.shape[0]):
+        out[i] = start[i] + span[i] > horizon
+    return out
+
+
+_FLOATS = st.floats(0.0, 10.0, allow_nan=False)
+
+
+class TestKernelOracles:
+    """Each regime kernel equals its scalar oracle on generated arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_FLOATS, _FLOATS, st.booleans()), max_size=20),
+        arrivals=st.lists(st.tuples(_FLOATS, _FLOATS), max_size=6),
+    )
+    @example(rows=[(0.5, 1.0, False)] * 4, arrivals=[])
+    @example(rows=[(0.5, 1.0, False)] * 3, arrivals=[(0.9, 1.1)])
+    def test_pool_compact_matches_oracle(self, rows, arrivals):
+        reliability = np.asarray([row[0] for row in rows], dtype=np.float64)
+        speed = np.asarray([row[1] for row in rows], dtype=np.float64)
+        keep = np.asarray([row[2] for row in rows], dtype=bool)
+        ids = np.arange(len(rows), dtype=np.int64)
+        new_rel = np.asarray([a[0] for a in arrivals], dtype=np.float64)
+        new_speed = np.asarray([a[1] for a in arrivals], dtype=np.float64)
+        new_ids = np.arange(len(rows), len(rows) + len(arrivals), dtype=np.int64)
+        args = (reliability, speed, ids, keep, new_rel, new_speed, new_ids)
+        for got, want in zip(_pool_compact(*args), _pool_compact_oracle(*args)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        checks=st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=40),
+        prior=st.lists(st.integers(0, 3), min_size=10, max_size=10),
+    )
+    def test_spot_tally_matches_oracle_with_duplicate_ids(self, checks, prior):
+        ids = np.asarray([check[0] for check in checks], dtype=np.int64)
+        passed = np.asarray([check[1] for check in checks], dtype=bool)
+        passes = np.asarray(prior[:5], dtype=np.int64)
+        fails = np.asarray(prior[5:], dtype=np.int64)
+        want_passes, want_fails = passes.copy(), fails.copy()
+        _spot_tally(ids, passed, passes, fails)
+        _spot_tally_oracle(ids, passed, want_passes, want_fails)
+        assert np.array_equal(passes, want_passes)
+        assert np.array_equal(fails, want_fails)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        waves=st.lists(st.tuples(_FLOATS, _FLOATS), min_size=1, max_size=20),
+        pick=st.integers(0, 19),
+        horizon=st.one_of(st.none(), _FLOATS),
+    )
+    def test_horizon_cut_matches_oracle(self, waves, pick, horizon):
+        start = np.asarray([wave[0] for wave in waves], dtype=np.float64)
+        span = np.asarray([wave[1] for wave in waves], dtype=np.float64)
+        if horizon is None:
+            # A wave ending exactly at the horizon still resolves.
+            horizon = float(start[pick % len(waves)] + span[pick % len(waves)])
+            assert not _horizon_cut(start, span, horizon)[pick % len(waves)]
+        got = _horizon_cut(start, span, horizon)
+        assert np.array_equal(got, _horizon_cut_oracle(start, span, horizon))
 
 
 class TestDeterminism:
@@ -196,10 +284,6 @@ class TestChurnRegime:
         assert first.nodes_joined > 0
         assert first.nodes_departed > 0
 
-    def test_kernels_match_scalar_fallbacks(self, monkeypatch):
-        report = _kernel_cross_check(monkeypatch, self._config(tasks=400))
-        assert report.nodes_joined > 0
-
     def test_matches_des_statistically(self):
         # Reliability, cost, and wave counts are contention-insensitive
         # (assumption 1: contention delays *when* jobs run, not what they
@@ -255,10 +339,6 @@ class TestSpotCheckRegime:
         # reliability 0.7: plenty of failed checks -> blacklist entries
         assert 0 < first.nodes_blacklisted <= 300
 
-    def test_kernels_match_scalar_fallbacks(self, monkeypatch):
-        report = _kernel_cross_check(monkeypatch, self._config(tasks=400))
-        assert report.spot_checks > 0
-
     def test_spot_stream_does_not_perturb_task_outcomes(self):
         # All spot draws come from the dedicated stream, so enabling
         # spot-checks changes overhead counters but no task verdict.
@@ -294,7 +374,7 @@ class TestSpotCheckRegime:
         passed = rng.random(500) < 0.8
         passes = np.zeros(40, dtype=np.int64)
         fails = np.zeros(40, dtype=np.int64)
-        _KERNELS["spot_tally"](ids, passed, passes, fails)
+        _spot_tally(ids, passed, passes, fails)
         manager = CredibilityManager()
         for node_id, ok in zip(ids.tolist(), passed.tolist()):
             manager.spot_check(node_id, passed=ok)
@@ -320,10 +400,6 @@ class TestMaxTimeRegime:
         assert first == second
         assert 0 < first.tasks_completed < first.tasks_submitted
         assert first.makespan == 2.8
-
-    def test_kernels_match_scalar_fallbacks(self, monkeypatch):
-        report = _kernel_cross_check(monkeypatch, self._config())
-        assert report.tasks_completed < report.tasks_submitted
 
     def test_generous_horizon_is_a_noop(self):
         baseline = run_columnar_dca(_config(IterativeRedundancy(3)))
@@ -460,3 +536,36 @@ class TestReportAndTelemetry:
             _config(IterativeRedundancy(3)), recorder=TelemetryRecorder()
         )
         assert bare == recorded
+
+
+class _Forever(RedundancyStrategy):
+    """Never accepts: the runaway the wave limit guards against."""
+
+    name = "forever"
+
+    def initial_jobs(self):
+        return 1
+
+    def decide(self, vote):
+        return Decision.dispatch(1)
+
+
+class TestWaveLimit:
+    @pytest.mark.parametrize("run", [run_columnar_dca, run_columnar_dca_columns])
+    @pytest.mark.parametrize("max_waves", [0, -1])
+    def test_rejects_a_limit_below_one(self, run, max_waves):
+        with pytest.raises(ValueError, match="max_waves"):
+            run(_config(IterativeRedundancy(3), tasks=10), max_waves=max_waves)
+
+    @pytest.mark.parametrize("run", [run_columnar_dca, run_columnar_dca_columns])
+    def test_runaway_raises_wave_limit_exceeded_naming_the_strategy(self, run):
+        with pytest.raises(WaveLimitExceeded, match="forever exceeded 5"):
+            run(_config(_Forever(), tasks=10), max_waves=5)
+
+    def test_wave_limit_exceeded_is_a_runtime_error(self):
+        with pytest.raises(RuntimeError):
+            run_columnar_dca(_config(_Forever(), tasks=10), max_waves=1)
+
+    def test_a_run_within_the_limit_is_unchanged(self):
+        config = _config(TraditionalRedundancy(7), tasks=50)
+        assert run_columnar_dca(config, max_waves=1) == run_columnar_dca(config)
