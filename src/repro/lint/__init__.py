@@ -1,13 +1,14 @@
 """reprolint: determinism & correctness static analysis for this repo.
 
-Two complementary halves:
+Four complementary parts:
 
 * a static AST pass (:mod:`repro.lint.rules`, driven by
   :class:`~repro.lint.engine.LintEngine`) that rejects the known
   *sources* of nondeterminism -- global-RNG draws, wall-clock reads in
-  simulation code, dynamic RNG stream names -- plus classic correctness
-  traps (mutable defaults, float ``==`` on probabilities, swallowed
-  exceptions on hot paths);
+  simulation code, dynamic RNG stream names, unstable array sorts in
+  decision paths (RL304) -- plus classic correctness traps (mutable
+  defaults, float ``==`` on probabilities, swallowed exceptions on hot
+  paths);
 * a whole-program pass (``repro-lint --project``; :mod:`repro.lint.graph`,
   :mod:`repro.lint.callgraph`, :mod:`repro.lint.project_rules`) that sees
   *between* modules: layering violations and import cycles, unpicklable
@@ -20,12 +21,6 @@ Two complementary halves:
   stream provenance and iteration orderedness, propagates the tags
   interprocedurally through the call graph, and enforces the
   replicate-isolation invariants (RL201-RL205);
-* a tensor abstract interpretation (``repro-lint --tensors``;
-  :mod:`repro.lint.arrays`, :mod:`repro.lint.tensor_absint`,
-  :mod:`repro.lint.tensor_rules`) that tags every value with symbolic
-  shape, dtype, aliasing regions and orderedness, and enforces the
-  columnar tier's shape/dtype/aliasing/determinism invariants
-  (RL301-RL305);
 * a runtime sanitizer (:mod:`repro.lint.sanitizer`) that replays a
   simulation from the same seed and pinpoints the first diverging trace
   event when the static rules missed something -- with runners for the
@@ -36,7 +31,6 @@ Run the linter with ``python -m repro.lint [paths]`` or the
 """
 
 from repro.lint.absint import FlowAnalysis
-from repro.lint.arrays import ArrayValue, Dim, DType, tensor_tables_digest
 from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.cache import LintCache, ruleset_signature
 from repro.lint.config import LintConfig, load_config
@@ -77,22 +71,13 @@ from repro.lint.sanitizer import (
     trace_fingerprint,
 )
 from repro.lint.sarif import render_sarif, sarif_log
-from repro.lint.tensor_absint import TensorAnalysis
-from repro.lint.tensor_rules import (
-    TensorRule,
-    register_tensor,
-    registered_tensor_rules,
-)
 
 __all__ = [
     "ALLOWED_IMPORTS",
     "BOTTOM",
     "AbstractValue",
-    "ArrayValue",
-    "DType",
     "DeterminismError",
     "DeterminismSanitizer",
-    "Dim",
     "Divergence",
     "Finding",
     "FlowAnalysis",
@@ -113,8 +98,6 @@ __all__ = [
     "Severity",
     "TOP",
     "TOP_UNSEEDED",
-    "TensorAnalysis",
-    "TensorRule",
     "apply_baseline",
     "dca_runner",
     "diff_captures",
@@ -129,18 +112,15 @@ __all__ = [
     "register",
     "register_flow",
     "register_project",
-    "register_tensor",
     "registered_flow_rules",
     "registered_project_rules",
     "registered_rules",
-    "registered_tensor_rules",
     "render_sarif",
     "ruleset_signature",
     "sanitize_dca",
     "sanitize_grid",
     "sanitize_mapreduce",
     "sarif_log",
-    "tensor_tables_digest",
     "trace_fingerprint",
     "write_baseline",
 ]

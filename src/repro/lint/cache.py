@@ -35,9 +35,9 @@ CACHE_SCHEMA = "repro-lint-cache/1"
 #: Conventional cache file name, next to pyproject.toml.
 DEFAULT_CACHE_NAME = ".reprolint-cache.json"
 #: Bump whenever any rule's behaviour changes: invalidates every entry.
-#: 2: tensor tier (RL301-RL305) joined the signature, plus the numpy
-#: intrinsic tables digest (see ``repro.lint.arrays``).
-RULESET_VERSION = 2
+#: 2: tensor tier (RL301-RL305) joined the signature.
+#: 3: tensor tier retired; RL304 became a per-file rule.
+RULESET_VERSION = 3
 
 
 def file_sha(path: str) -> str:

@@ -2,22 +2,20 @@
 
 Three modes:
 
-* **per-file** (default): run the RL0xx rules over the given paths;
+* **per-file** (default): run the RL0xx rules and RL304 (unstable
+  sorts) over the given paths;
 * **project** (``--project``): additionally build the import graph and
   call graph over the ``repro`` package and run the whole-program RL1xx
   rules, with per-file linting fanned out over ``--jobs`` worker
   processes via :func:`repro.parallel.parallel_map`;
 * **flows** (``--flows``, implies ``--project``): also run the
   flow-sensitive abstract interpretation and the RL2xx provenance/
-  shard-safety rules;
-* **tensors** (``--tensors``, implies ``--project``): also run the
-  array abstract interpretation and the RL3xx shape/dtype/aliasing/
-  determinism rules over the numpy (columnar) tier.
+  shard-safety rules.
 
 Project-mode runs keep an incremental cache (``.reprolint-cache.json``
 next to pyproject.toml) so warm runs skip unchanged files; ``--no-cache``
-opts out.  ``--fix`` rewrites the mechanical findings (RL004, RL006) in
-place before linting.
+opts out.  ``--fix`` rewrites the mechanical findings (RL004, RL006,
+RL304) in place before linting.
 
 Output formats (``--output`` / legacy ``-f/--format``): ``text``,
 ``json`` (schema-versioned payload), and ``sarif`` (SARIF 2.1.0, for CI
@@ -54,7 +52,6 @@ from repro.lint.flow_rules import registered_flow_rules
 from repro.lint.project import ProjectReport, lint_project
 from repro.lint.project_rules import registered_project_rules
 from repro.lint.sarif import render_sarif
-from repro.lint.tensor_rules import registered_tensor_rules
 
 #: Exit codes (see module docstring); CI scripts match on these.
 EXIT_CLEAN = 0
@@ -98,17 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="flow analysis mode (implies --project): run the RL2xx "
         "RNG-provenance and shard-safety rules",
     )
-    parser.add_argument(
-        "--tensors",
-        action="store_true",
-        help="tensor analysis mode (implies --project): run the RL3xx "
-        "array shape/dtype/aliasing/determinism rules",
-    )
+    # The tensor rules are retired; the flag is still accepted, as
+    # --project, so existing invocations keep working.
+    parser.add_argument("--tensors", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--fix",
         action="store_true",
         help="rewrite mechanical findings in place (RL004 mutable "
-        "defaults, RL006 swallowed exceptions) before linting",
+        "defaults, RL006 swallowed exceptions, RL304 unstable sorts) "
+        "before linting",
     )
     parser.add_argument(
         "--no-cache",
@@ -241,7 +236,6 @@ def _rule_metadata(rule_ids: Sequence[str]) -> List[Tuple[str, str, Severity]]:
     registry.update(registered_rules())
     registry.update(registered_project_rules())
     registry.update(registered_flow_rules())
-    registry.update(registered_tensor_rules())
     return [
         (rule_id, registry[rule_id].summary, registry[rule_id].severity)
         for rule_id in sorted(rule_ids)
@@ -291,18 +285,10 @@ def _run(args: argparse.Namespace) -> int:
     file_registry = registered_rules()
     project_registry = registered_project_rules()
     flow_registry = registered_flow_rules()
-    tensor_registry = registered_tensor_rules()
     if args.list_rules:
-        combined = {
-            **file_registry,
-            **project_registry,
-            **flow_registry,
-            **tensor_registry,
-        }
+        combined = {**file_registry, **project_registry, **flow_registry}
         for rule_id, cls in sorted(combined.items()):
-            if rule_id in tensor_registry:
-                scope = "tensor"
-            elif rule_id in flow_registry:
+            if rule_id in flow_registry:
                 scope = "flow"
             elif rule_id in project_registry:
                 scope = "project"
@@ -311,6 +297,12 @@ def _run(args: argparse.Namespace) -> int:
             print(f"{rule_id}  [{cls.severity.value}]  [{scope}]  {cls.summary}")
         return EXIT_CLEAN
 
+    if args.tensors:
+        print(
+            "repro-lint: --tensors is retired (RL304 runs per file); "
+            "running as --project",
+            file=sys.stderr,
+        )
     if args.flows or args.tensors:
         args.project = True
 
@@ -332,8 +324,6 @@ def _run(args: argparse.Namespace) -> int:
         known_ids |= set(project_registry)
     if args.flows:
         known_ids |= set(flow_registry)
-    if args.tensors:
-        known_ids |= set(tensor_registry)
     unknown = [
         rule_id
         for rule_id in (config.enable or []) + list(config.disable)
@@ -345,8 +335,6 @@ def _run(args: argparse.Namespace) -> int:
             missing_modes.append("RL1xx rules need --project")
         if not args.flows:
             missing_modes.append("RL2xx rules need --flows")
-        if not args.tensors:
-            missing_modes.append("RL3xx rules need --tensors")
         hint = f" ({', '.join(missing_modes)})" if missing_modes else ""
         print(
             f"repro-lint: unknown rule id(s): {', '.join(sorted(set(unknown)))}"
@@ -359,7 +347,6 @@ def _run(args: argparse.Namespace) -> int:
     file_rule_ids = [rule_id for rule_id in selected if rule_id in file_registry]
     project_rule_ids = [rule_id for rule_id in selected if rule_id in project_registry]
     flow_rule_ids = [rule_id for rule_id in selected if rule_id in flow_registry]
-    tensor_rule_ids = [rule_id for rule_id in selected if rule_id in tensor_registry]
 
     paths = list(args.paths) or list(config.paths)
     missing = [path for path in paths if not Path(path).exists()]
@@ -379,15 +366,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.project:
         cache = None
         if not args.no_cache:
-            from repro.lint.arrays import tensor_tables_digest
-
             signature = ruleset_signature(
-                _tool_version(),
-                file_rule_ids,
-                project_rule_ids,
-                flow_rule_ids,
-                tensor_rule_ids,
-                [tensor_tables_digest()] if tensor_rule_ids else [],
+                _tool_version(), file_rule_ids, project_rule_ids, flow_rule_ids
             )
             cache = LintCache.load(_cache_path(config), signature)
         report = lint_project(
@@ -395,16 +375,13 @@ def _run(args: argparse.Namespace) -> int:
             rule_ids=file_rule_ids,
             project_rule_ids=project_rule_ids,
             flow_rule_ids=flow_rule_ids,
-            tensor_rule_ids=tensor_rule_ids,
             jobs=args.jobs,
             cache=cache,
         )
-        if (
-            project_rule_ids or flow_rule_ids or tensor_rule_ids
-        ) and not report.analyzed_project:
+        if (project_rule_ids or flow_rule_ids) and not report.analyzed_project:
             print(
                 "repro-lint: --project found no importable 'repro' package "
-                "under the given paths; RL1xx/RL2xx/RL3xx rules were skipped",
+                "under the given paths; RL1xx/RL2xx rules were skipped",
                 file=sys.stderr,
             )
     else:

@@ -24,37 +24,33 @@ Three rules are mechanical enough to fix without judgement:
 
       np.argsort(weights)   ->  np.argsort(weights, kind="stable")
 
-  Bare ``.sort()`` method calls are left alone: the receiver could be
-  a plain list, whose ``sort`` takes no ``kind``.  Calls that already
-  pass any ``kind=`` (or ``**kwargs``) are untouched, so the fix is
-  idempotent and never overrides an explicit choice.
+  Calls that already pass a ``kind=`` are untouched: the fix never
+  overrides an explicit choice, even an unstable one.
 
-RL004/RL006 fixes are driven by the rules' own findings (via the
-engine); RL304 is a project-tier rule, so its fixer matches the sites
-syntactically but honours the same inline suppression comments.  A
-site the linter would not flag is never rewritten, and every fix is
-idempotent: the rewritten code no longer triggers the rule, so a
-second ``--fix`` pass is a no-op.  Sites the surgery cannot handle
-safely (lambdas, single-line ``def f(x=[]): ...`` bodies) are left
-alone and keep their finding.
+Every fix is driven by the rule's own findings (via the engine), so
+suppression comments and package scopes hold, and a site the linter
+would not flag is never rewritten.  Every fix is idempotent: the
+rewritten code no longer triggers the rule, so a second ``--fix`` pass
+is a no-op.  Sites the surgery cannot handle safely (lambdas,
+single-line ``def f(x=[]): ...`` bodies) are left alone and keep their
+finding.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.engine import LintEngine, registered_rules, suppressions
-from repro.lint.rules import NoMutableDefaultArgsRule, NoSwallowedExceptionsRule
+from repro.lint.engine import LintEngine, registered_rules
+from repro.lint.rules import (
+    NoMutableDefaultArgsRule,
+    NoSwallowedExceptionsRule,
+    _module_aliases,
+    unstable_sort_call,
+)
 
-#: Rules ``--fix`` knows how to rewrite.  RL004/RL006 are per-file
-#: (engine-driven); RL304 is tensor-tier and matched syntactically.
+#: Rules ``--fix`` knows how to rewrite.
 FIXABLE_RULES = ("RL004", "RL006", "RL304")
-
-#: ``kind=`` spellings that already guarantee a stable order (kept in
-#: sync with ``repro.lint.arrays.STABLE_SORT_KINDS`` without importing
-#: it: the fixer must not pull the tensor tier into per-file runs).
-_STABLE_KINDS = frozenset({"stable", "mergesort"})
 
 _RERAISE_STUB = "raise  # reprolint: re-raise (was swallowed)"
 
@@ -64,7 +60,7 @@ _Edit = Tuple[int, int, int, int, str]
 
 
 def fix_source(source: str, path: str = "<string>") -> Tuple[str, int]:
-    """Apply every possible RL004/RL006 fix to ``source``.
+    """Apply every possible RL004/RL006/RL304 fix to ``source``.
 
     Returns ``(new_source, applied)`` where ``applied`` counts the
     individual rewrites.  ``new_source is source`` when nothing applied.
@@ -85,11 +81,10 @@ def fix_source(source: str, path: str = "<string>") -> Tuple[str, int]:
         tree = ast.parse(source, filename=path)
     except SyntaxError:
         return source, 0
-    silenced = suppressions(source)
     lines = source.split("\n")
     edits: List[_Edit] = []
     applied = 0
-    numpy_names = _numpy_aliases(tree)
+    numpy_names = _module_aliases(tree, "numpy")
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             applied += _collect_default_fixes(node, anchors, lines, edits)
@@ -97,7 +92,7 @@ def fix_source(source: str, path: str = "<string>") -> Tuple[str, int]:
             applied += _collect_swallow_fixes(node, anchors, edits)
         elif isinstance(node, ast.Call):
             applied += _collect_stable_sort_fixes(
-                node, numpy_names, silenced, lines, edits
+                node, numpy_names, anchors, lines, edits
             )
     if not edits:
         return source, 0
@@ -237,43 +232,21 @@ def _collect_swallow_fixes(
     return 1
 
 
-def _numpy_aliases(tree: ast.AST) -> Set[str]:
-    """Local names bound to the numpy package (``np``)."""
-    aliases: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "numpy":
-                    aliases.add(alias.asname or "numpy")
-    return aliases
-
-
 def _collect_stable_sort_fixes(
     node: ast.Call,
-    numpy_names: Set[str],
-    silenced: Dict[int, Set[str]],
+    numpy_names: FrozenSet[str],
+    anchors: Set[Tuple[str, int, int]],
     lines: List[str],
     edits: List[_Edit],
 ) -> int:
-    """RL304: add ``kind="stable"`` to a sort call missing it."""
-    func = node.func
-    if not isinstance(func, ast.Attribute):
+    """RL304: add ``kind="stable"`` to a flagged sort call missing it."""
+    if ("RL304", *_anchor(node)) not in anchors:
         return 0
-    is_np_sort = (
-        func.attr in ("sort", "argsort")
-        and isinstance(func.value, ast.Name)
-        and func.value.id in numpy_names
-    )
-    # Only .argsort() among the methods: a bare .sort() receiver could
-    # be a plain list, whose sort() takes no kind kwarg.
-    is_method_argsort = func.attr == "argsort" and not is_np_sort
-    if not (is_np_sort or is_method_argsort):
+    # The anchor is shared by calls chained off one receiver, so match
+    # the call itself too; an explicit kind= is never overridden.
+    if unstable_sort_call(node, numpy_names) is None:
         return 0
-    for keyword in node.keywords:
-        if keyword.arg == "kind" or keyword.arg is None:  # kind= or **kwargs
-            return 0
-    line = getattr(node, "lineno", 0)
-    if "RL304" in silenced.get(0, set()) or "RL304" in silenced.get(line, set()):
+    if any(keyword.arg == "kind" for keyword in node.keywords):
         return 0
     # Anchor after the last argument (works for multi-line calls); with
     # no arguments, just inside the closing paren.

@@ -56,16 +56,13 @@ def run_project_rules(
     paths: Sequence[str],
     project_rule_ids: Sequence[str],
     flow_rule_ids: Sequence[str] = (),
-    tensor_rule_ids: Sequence[str] = (),
 ) -> Tuple[List[Finding], int, bool]:
     """Run whole-program rules over the ``repro`` package in ``paths``.
 
     Returns (findings, suppressed count, package-root-found).  Findings
     honour the same inline/file/next-line suppression comments as the
     per-file rules.  When ``flow_rule_ids`` is non-empty the abstract
-    interpreter runs once and the RL2xx flow rules share its result;
-    likewise ``tensor_rule_ids`` builds the array analysis once for the
-    RL3xx rules.
+    interpreter runs once and the RL2xx flow rules share its result.
     """
     root = find_package_root(paths)
     if root is None:
@@ -104,16 +101,6 @@ def run_project_rules(
             rule = flow_registry[rule_id]()
             for finding in rule.check(project, analysis):
                 admit(finding)
-    if tensor_rule_ids:
-        from repro.lint.tensor_absint import TensorAnalysis
-        from repro.lint.tensor_rules import registered_tensor_rules
-
-        tensor_analysis = TensorAnalysis.build(project.graph, project.callgraph)
-        tensor_registry = registered_tensor_rules()
-        for rule_id in sorted(tensor_rule_ids):
-            rule = tensor_registry[rule_id]()
-            for finding in rule.check(project, tensor_analysis):
-                admit(finding)
     return findings, suppressed, True
 
 
@@ -123,7 +110,6 @@ def lint_project(
     rule_ids: Sequence[str],
     project_rule_ids: Sequence[str],
     flow_rule_ids: Sequence[str] = (),
-    tensor_rule_ids: Sequence[str] = (),
     jobs: Optional[int] = 1,
     cache: Optional[LintCache] = None,
 ) -> ProjectReport:
@@ -166,14 +152,14 @@ def lint_project(
                 report.suppressed += suppressed
                 if cache is not None:
                     cache.put_file(path, shas[path], findings, suppressed)
-    if project_rule_ids or flow_rule_ids or tensor_rule_ids:
+    if project_rule_ids or flow_rule_ids:
         project_key = tree_hash(shas) if cache is not None else ""
         hit = cache.get_project(project_key) if cache is not None else None
         if hit is not None:
             project_findings, suppressed, analyzed = hit
         else:
             project_findings, suppressed, analyzed = run_project_rules(
-                paths, project_rule_ids, flow_rule_ids, tensor_rule_ids
+                paths, project_rule_ids, flow_rule_ids
             )
             if cache is not None:
                 cache.put_project(

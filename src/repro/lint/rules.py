@@ -1,4 +1,4 @@
-"""The per-file reprolint rule set (RL001-RL008).
+"""The per-file reprolint rule set (RL001-RL008, RL304).
 
 Each rule encodes one determinism or correctness invariant of this
 repository; ``docs/linting.md`` documents the rationale behind every
@@ -680,4 +680,70 @@ class TelemetryDisciplineRule(Rule):
                     f".{base.attr}.{func.attr}(...) mutates a metrics registry "
                     "directly; simulation code must record through the "
                     "Recorder API (count/gauge/observe)",
+                )
+
+
+#: Packages whose array code feeds decisions or reports; an unstable
+#: sort there breaks the ``jobs=N == jobs=1`` byte-identity guarantee.
+DECISION_PACKAGES: FrozenSet[str] = frozenset({"core", "sim", "dca", "parallel", "bench"})
+
+#: ``kind=`` spellings that guarantee a stable order.
+STABLE_SORT_KINDS = frozenset({"stable", "mergesort"})
+
+
+def unstable_sort_call(node: ast.AST, numpy_names: FrozenSet[str]) -> Optional[str]:
+    """How ``node`` spells an array sort with no stable ``kind=``, else None.
+
+    Matches ``np.sort``/``np.argsort`` calls and ``.argsort()`` method
+    calls, which only arrays have.  A bare ``.sort()`` is not matched:
+    its receiver could be a list, whose ``sort`` takes no ``kind``.  A
+    ``kind=`` that is not a literal, or ``**kwargs`` that may carry one,
+    is not evidence of instability.  RL304 and its ``--fix`` rewriter
+    share this matcher.
+    """
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return None
+    func = node.func
+    if isinstance(func.value, ast.Name) and func.value.id in numpy_names:
+        if func.attr not in ("sort", "argsort"):
+            return None
+        label = f"{func.value.id}.{func.attr}"
+    elif func.attr == "argsort":
+        label = ".argsort()"
+    else:
+        return None
+    for keyword in node.keywords:
+        if keyword.arg is None:
+            return None
+        if keyword.arg == "kind":
+            if not isinstance(keyword.value, ast.Constant):
+                return None
+            if keyword.value.value in STABLE_SORT_KINDS:
+                return None
+    return label
+
+
+@register
+class StableSortRule(Rule):
+    """RL304: ``sort``/``argsort`` without ``kind="stable"`` break ties in
+    an implementation-defined introsort order, so equal-key rows can
+    reorder between platforms and numpy versions.  In code that feeds
+    decisions or reports that silently breaks the ``jobs=N == jobs=1``
+    byte identity, and one CI host never shows it."""
+
+    rule_id = "RL304"
+    summary = "no unstable array sorts in decision paths (pass kind=\"stable\")"
+    packages = DECISION_PACKAGES
+
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
+        numpy_names = _module_aliases(module.tree, "numpy")
+        for node in ast.walk(module.tree):
+            label = unstable_sort_call(node, numpy_names)
+            if label is not None:
+                yield self.finding(
+                    module,
+                    node,
+                    f"{label} sorts without kind=\"stable\"; ties break in an "
+                    "implementation-defined order and equal-key rows can "
+                    "reorder between platforms -- pass kind=\"stable\"",
                 )

@@ -468,10 +468,9 @@ class TestEdgeRegimes:
     """Edge regimes stay inside the engine's contract: the vectorized
     decider path and the per-task ``_decide_fallback`` path must
     produce byte-identical reports (popping the strategy from
-    ``_DECIDERS`` forces the fallback), and the boundary RL305 reasons
-    about statically (configs the engine must reject) is enforced at
-    runtime -- ``TestSupportedRegime`` exercises every ``_validate``
-    branch, matching the linter's reachability claim."""
+    ``_DECIDERS`` forces the fallback).  The configs the engine must
+    reject are covered by ``TestSupportedRegime`` and, for every entry
+    point, by ``test_columnar_regime_guards.py``."""
 
     def _fallback_identical(self, monkeypatch, config):
         fast = run_columnar_dca(config)

@@ -4,10 +4,10 @@ the whole-program pass, ruleset signature for everything), and a broken
 cache file must never be an error."""
 
 import json
-from pathlib import Path
 
 import pytest
 
+import repro.lint.cache as cache_module
 import repro.lint.project as project_module
 from repro.lint.cache import (
     CACHE_SCHEMA,
@@ -138,6 +138,16 @@ class TestInvalidation:
         assert fresh.hits == 0
         assert fresh.misses == result.files_checked
 
+    def test_older_ruleset_version_discarded(self, tree, tmp_path, monkeypatch):
+        # A cache written before a RULESET_VERSION bump must not replay.
+        monkeypatch.setattr(cache_module, "RULESET_VERSION", cache_module.RULESET_VERSION - 1)
+        run(tree, cache=make_cache(tmp_path, ruleset_signature("1.0", RULE_IDS)))
+        monkeypatch.undo()
+        current = make_cache(tmp_path, ruleset_signature("1.0", RULE_IDS))
+        result = run(tree, cache=current)
+        assert current.hits == 0
+        assert current.misses == result.files_checked
+
     def test_removed_file_pruned_from_cache(self, tree, tmp_path):
         run(tree, cache=make_cache(tmp_path))
         (tree / "core" / "clean.py").unlink()
@@ -209,72 +219,3 @@ class TestPrimitives:
             message="mutable default",
         )
         assert Finding.from_dict(finding.as_dict()) == finding
-
-
-class TestTensorSignature:
-    """Satellite of the tensor tier: the ruleset signature must move
-    when the numpy intrinsic tables move (a table edit busts the cache)
-    and must NOT move for comment-only edits to ``arrays.py`` (the
-    digest covers table *contents*, not file bytes)."""
-
-    @staticmethod
-    def _variant_digest(tmp_path, transform):
-        import importlib.util
-        import sys
-
-        from repro.lint import arrays
-
-        source = Path(arrays.__file__).read_text(encoding="utf-8")
-        variant = transform(source)
-        path = tmp_path / "arrays_variant.py"
-        path.write_text(variant, encoding="utf-8")
-        spec = importlib.util.spec_from_file_location("arrays_variant", str(path))
-        module = importlib.util.module_from_spec(spec)
-        # Dataclasses in the module resolve annotations through
-        # sys.modules[cls.__module__]; register before executing.
-        sys.modules["arrays_variant"] = module
-        try:
-            spec.loader.exec_module(module)
-            return module.tensor_tables_digest()
-        finally:
-            del sys.modules["arrays_variant"]
-
-    def test_table_edit_changes_digest_and_signature(self, tmp_path):
-        from repro.lint.arrays import tensor_tables_digest
-
-        def add_msort(source):
-            needle = 'frozenset({"sort", "argsort", "lexsort"})'
-            assert needle in source
-            return source.replace(
-                needle, 'frozenset({"sort", "argsort", "lexsort", "msort"})'
-            )
-
-        edited = self._variant_digest(tmp_path, add_msort)
-        current = tensor_tables_digest()
-        assert edited != current
-        tensor_ids = ["RL301", "RL302", "RL303", "RL304", "RL305"]
-        assert ruleset_signature(
-            "1.0", [], [], [], tensor_ids, [current]
-        ) != ruleset_signature("1.0", [], [], [], tensor_ids, [edited])
-
-    def test_comment_only_edit_keeps_digest(self, tmp_path):
-        from repro.lint.arrays import tensor_tables_digest
-
-        unchanged = self._variant_digest(
-            tmp_path, lambda source: source + "\n# comment-only edit\n"
-        )
-        assert unchanged == tensor_tables_digest()
-
-    def test_tensor_group_participates_in_signature(self):
-        from repro.lint.arrays import tensor_tables_digest
-
-        digest = [tensor_tables_digest()]
-        without = ruleset_signature("1.0", ["RL001"], ["RL101"], ["RL201"])
-        with_tensors = ruleset_signature(
-            "1.0", ["RL001"], ["RL101"], ["RL201"], ["RL304"], digest
-        )
-        assert without != with_tensors
-        # Dropping a single tensor rule re-keys the cache too.
-        assert with_tensors != ruleset_signature(
-            "1.0", ["RL001"], ["RL101"], ["RL201"], ["RL305"], digest
-        )

@@ -325,9 +325,9 @@ class TestFlowMode:
         assert {"RL201", "RL202", "RL203", "RL204", "RL205"} <= rule_ids
 
 
-def write_tensor_package(tmp_path):
-    """A mini ``repro`` package with one tensor defect: an unstable
-    ``np.argsort`` steering a decision path (RL304)."""
+def write_sort_package(tmp_path):
+    """A mini ``repro`` package with one unstable ``np.argsort`` steering
+    a decision path (RL304)."""
     root = tmp_path / "repro"
     (root / "dca").mkdir(parents=True)
     (root / "__init__.py").touch()
@@ -347,53 +347,53 @@ def write_tensor_package(tmp_path):
     return root
 
 
-class TestTensorMode:
-    def test_tensors_runs_rl3xx_and_exits_one(self, tmp_path, capsys):
-        root = write_tensor_package(tmp_path)
-        assert main(["--tensors", str(root)]) == 1
+class TestStableSortRule:
+    def test_per_file_run_reports_rl304_and_exits_one(self, tmp_path, capsys):
+        root = write_sort_package(tmp_path)
+        assert main([str(root)]) == 1
         out = capsys.readouterr().out
         assert "RL304" in out
         assert 'kind="stable"' in out
 
-    def test_tensors_implies_project(self, tmp_path, capsys):
-        # RL1xx ids are selectable under --tensors without --project.
-        root = write_mini_package(tmp_path)
-        assert main(["--tensors", "--select", "RL101", str(root)]) == 1
-        assert "RL101" in capsys.readouterr().out
-
-    def test_rl3xx_needs_tensors(self, tmp_path, capsys):
-        root = write_tensor_package(tmp_path)
-        assert main(["--project", "--select", "RL304", str(root)]) == 2
-        assert "--tensors" in capsys.readouterr().err
-
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         root = write_mini_package(tmp_path, violating=False)
-        assert main(["--tensors", str(root)]) == 0
+        assert main([str(root)]) == 0
         assert "0 error(s)" in capsys.readouterr().out
 
-    def test_list_rules_tags_tensor_scope(self, tmp_path, capsys):
+    def test_list_rules_tags_rl304_as_file_rule(self, tmp_path, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL301", "RL302", "RL303", "RL304", "RL305"):
-            assert rule_id in out
-        assert "[tensor]" in out
+        assert "RL304  [error]  [file]" in out
+        for rule_id in ("RL301", "RL302", "RL303", "RL305"):
+            assert rule_id not in out
 
-    def test_tensors_fix_then_relint_exits_zero(self, tmp_path, capsys):
-        root = write_tensor_package(tmp_path)
+    def test_retired_rl3xx_ids_are_unknown(self, tmp_path, capsys):
+        root = write_sort_package(tmp_path)
+        assert main(["--project", "--select", "RL301", str(root)]) == 2
+        assert "unknown rule id(s): RL301" in capsys.readouterr().err
+
+    def test_retired_tensors_flag_runs_as_project(self, tmp_path, capsys):
+        root = write_mini_package(tmp_path)
+        assert main(["--tensors", "--select", "RL101", str(root)]) == 1
+        captured = capsys.readouterr()
+        assert "RL101" in captured.out
+        assert "--tensors is retired" in captured.err
+
+    def test_fix_then_plain_relint_exits_zero(self, tmp_path, capsys):
+        root = write_sort_package(tmp_path)
         assert main(["--fix", str(root)]) == 0
         capsys.readouterr()
         source = (root / "dca" / "rank.py").read_text(encoding="utf-8")
         assert 'np.argsort(weights, kind="stable")' in source
-        assert main(["--tensors", str(root)]) == 0
+        assert main([str(root)]) == 0
 
-    def test_tensors_sarif_carries_rl3xx(self, tmp_path, capsys):
-        root = write_tensor_package(tmp_path)
-        assert main(["--tensors", "--output", "sarif", str(root)]) == 1
+    def test_sarif_carries_rl304(self, tmp_path, capsys):
+        root = write_sort_package(tmp_path)
+        assert main(["--output", "sarif", str(root)]) == 1
         log = json.loads(capsys.readouterr().out)
         (run,) = log["runs"]
         assert any(r["ruleId"] == "RL304" for r in run["results"])
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"RL301", "RL302", "RL303", "RL304", "RL305"} <= rule_ids
+        assert "RL304" in {rule["id"] for rule in run["tool"]["driver"]["rules"]}
 
 
 class TestFixFlag:

@@ -3,9 +3,7 @@
 The contract: a fix removes the finding it targets, never touches a
 site the linter would not flag (suppressions, bare excepts, one-line
 defs), and is idempotent -- a second pass over fixed source changes
-nothing.  RL304 is a project-tier rule with a syntactic fixer, so its
-sites are matched by shape (``np.sort``/``np.argsort``/``.argsort()``)
-rather than by re-running the tensor pass.
+nothing.
 """
 
 import textwrap
@@ -17,20 +15,22 @@ from repro.lint.fixes import FIXABLE_RULES, fix_paths, fix_source
 #: RL006 is gated to simulation packages, so handler fixtures must live
 #: on a sim-package path; RL004 applies everywhere.
 SIM_PATH = "src/repro/sim/fixture.py"
+#: RL304 is gated to the decision packages (core/sim/dca/parallel/bench).
+DCA_PATH = "src/repro/dca/fixture.py"
 
 
 def relint(source, path="fixture.py", rule_ids=FIXABLE_RULES):
-    # RL304 lives in the tensor tier, not the per-file registry; the
-    # fixer (and this helper) skips it when building a file engine.
     registry = registered_rules()
-    engine = LintEngine(
-        rules=[registry[rule_id]() for rule_id in rule_ids if rule_id in registry]
-    )
+    engine = LintEngine(rules=[registry[rule_id]() for rule_id in rule_ids])
     return engine.lint_source(source, path)
 
 
 def fix(source, path="fixture.py"):
     return fix_source(textwrap.dedent(source), path)
+
+
+def fix_in_dca(source):
+    return fix(source, DCA_PATH)
 
 
 class TestMutableDefaultFix:
@@ -187,7 +187,7 @@ class TestSwallowedExceptionFix:
 
 class TestStableSortFix:
     def test_np_sort_gains_stable_kind(self):
-        fixed, applied = fix(
+        fixed, applied = fix_in_dca(
             """
             import numpy as np
 
@@ -202,7 +202,7 @@ class TestStableSortFix:
     def test_method_argsort_fixed_but_bare_sort_is_not(self):
         # ``.argsort()`` is unambiguously an array method; a bare
         # ``.sort()`` could be ``list.sort`` and is left for a human.
-        fixed, applied = fix(
+        fixed, applied = fix_in_dca(
             """
             import numpy as np
 
@@ -222,12 +222,12 @@ class TestStableSortFix:
             order = np.sort(values, kind="mergesort")
             """
         )
-        fixed, applied = fix_source(source, "fixture.py")
+        fixed, applied = fix_source(source, DCA_PATH)
         assert applied == 0
         assert fixed == source
         # Fixed output round-trips: a second pass changes nothing.
-        once, _ = fix("import numpy as np\nranks = np.argsort(w)\n")
-        again, reapplied = fix_source(once, "fixture.py")
+        once, _ = fix_in_dca("import numpy as np\nranks = np.argsort(w)\n")
+        again, reapplied = fix_source(once, DCA_PATH)
         assert reapplied == 0
         assert again == once
 
@@ -239,12 +239,12 @@ class TestStableSortFix:
             order = np.sort(values)  # reprolint: disable=RL304
             """
         )
-        fixed, applied = fix_source(source, "fixture.py")
+        fixed, applied = fix_source(source, DCA_PATH)
         assert applied == 0
         assert fixed == source
 
     def test_multiline_call_keeps_syntax_valid(self):
-        fixed, applied = fix(
+        fixed, applied = fix_in_dca(
             """
             import numpy as np
 
@@ -255,7 +255,7 @@ class TestStableSortFix:
         )
         assert applied == 1
         assert 'weights, kind="stable",' in fixed
-        compile(fixed, "fixture.py", "exec")
+        compile(fixed, DCA_PATH, "exec")
 
     def test_star_kwargs_left_for_a_human(self):
         # ``**kwargs`` may already carry ``kind``; injecting one could
@@ -267,7 +267,44 @@ class TestStableSortFix:
             order = np.sort(values, **options)
             """
         )
-        fixed, applied = fix_source(source, "fixture.py")
+        fixed, applied = fix_source(source, DCA_PATH)
+        assert applied == 0
+        assert fixed == source
+
+    def test_fixed_source_relints_clean(self):
+        fixed, applied = fix_in_dca(
+            """
+            import numpy as np
+
+            ranks = np.argsort(weights)
+            order = scores.argsort()
+            """
+        )
+        assert applied == 2
+        assert relint(fixed, DCA_PATH) == []
+
+    def test_unstable_explicit_kind_kept_and_still_flagged(self):
+        # The fix never overrides an explicit choice; the finding stays.
+        source = textwrap.dedent(
+            """
+            import numpy as np
+
+            order = np.sort(values, kind="quicksort")
+            """
+        )
+        fixed, applied = fix_source(source, DCA_PATH)
+        assert applied == 0
+        assert [f.rule_id for f in relint(fixed, DCA_PATH)] == ["RL304"]
+
+    def test_outside_decision_packages_not_rewritten(self):
+        source = textwrap.dedent(
+            """
+            import numpy as np
+
+            ranks = np.argsort(weights)
+            """
+        )
+        fixed, applied = fix_source(source, "src/repro/experiments/fixture.py")
         assert applied == 0
         assert fixed == source
 
@@ -279,7 +316,7 @@ class TestStableSortFix:
             order = np_like.sort(values)
             """
         )
-        fixed, applied = fix_source(source, "fixture.py")
+        fixed, applied = fix_source(source, DCA_PATH)
         assert applied == 0
         assert fixed == source
 
