@@ -213,8 +213,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         path = write_report(name, payload, output_dir=args.output_dir)
         line = f"{name}: {payload['wall_clock_seconds']:.2f}s -> {path}"
-        if "speedup" in payload.get("results", {}):
-            line += f" (speedup x{payload['results']['speedup']:.2f})"
+        results = payload.get("results", {})
+        if "speedup" in results:
+            line += f" (speedup x{results['speedup']:.2f}"
+            if "parallel_efficiency" in results:
+                line += f", efficiency {results['parallel_efficiency']:.2f}"
+            line += ")"
         print(line)
         if payload.get("diverged"):
             diverged = True

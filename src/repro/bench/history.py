@@ -51,9 +51,11 @@ def history_row(
     """One history row for a suite's report payload.
 
     The timestamp is injected, never read from a clock here, so rows are
-    a pure function of their inputs (and tests can pin them).
+    a pure function of their inputs (and tests can pin them).  A suite
+    that reports ``results.parallel_efficiency`` (``figure_sweep``) gets
+    it copied into the row, so pool scheduling shows in the trajectory.
     """
-    return {
+    row = {
         "schema_version": HISTORY_SCHEMA_VERSION,
         "suite": name,
         "quick": bool(payload.get("quick")),
@@ -67,6 +69,10 @@ def history_row(
         "git_sha": git_sha,
         "timestamp": timestamp,
     }
+    efficiency = payload.get("results", {}).get("parallel_efficiency")
+    if efficiency is not None:
+        row["parallel_efficiency"] = efficiency
+    return row
 
 
 def append_history(

@@ -281,7 +281,10 @@ def bench_figure_sweep(
 
     The serial and parallel checksums must be identical -- any divergence
     means the replication engine broke its determinism contract, and the
-    CLI turns it into a non-zero exit for CI.
+    CLI turns it into a non-zero exit for CI.  ``parallel_efficiency``
+    is serial wall / (jobs x parallel wall): 1.0 means every worker was
+    busy for the whole parallel run, so load imbalance in the replicate
+    pool shows as a shortfall.
     """
     from repro.experiments import figure5a
 
@@ -317,6 +320,8 @@ def bench_figure_sweep(
         },
         "results": {
             "speedup": serial_stats.best / parallel_stats.best,
+            "parallel_efficiency": serial_stats.best
+            / (effective_jobs * parallel_stats.best),
         },
         "serial_checksum": serial_checksum,
         "parallel_checksum": parallel_checksum,

@@ -111,9 +111,22 @@ class VoteState:
         determinism).  Memoized until the next recorded vote."""
         ranked = self._ranked_cache
         if ranked is None:
-            ranked = tuple(
-                sorted(self.counts.items(), key=lambda kv: (-kv[1], repr(kv[0])))
-            )
+            counts = self.counts
+            if len(counts) == 2:
+                # The binary model's only shape on the decide path: rank
+                # it directly, calling repr only on an exact tie.  A stable
+                # sort would keep insertion order on equal reprs too.
+                first, second = counts.items()
+                if first[1] > second[1] or (
+                    first[1] == second[1] and repr(first[0]) <= repr(second[0])
+                ):
+                    ranked = (first, second)
+                else:
+                    ranked = (second, first)
+            else:
+                ranked = tuple(
+                    sorted(counts.items(), key=lambda kv: (-kv[1], repr(kv[0])))
+                )
             self._ranked_cache = ranked
         return ranked
 
@@ -202,17 +215,35 @@ class Decision:
 
     @classmethod
     def dispatch(cls, n: int) -> "Decision":
+        """Send ``n`` more jobs.  Small counts return a shared instance
+        (decisions are frozen), so a decide call builds no decision."""
         if n <= 0:
             raise ValueError(f"must dispatch a positive number of jobs, got {n}")
+        if cls is Decision and type(n) is int and n < len(_DISPATCHES):
+            return _DISPATCHES[n]
         return cls(more_jobs=n)
 
     @classmethod
     def accept(cls, value: ResultValue) -> "Decision":
+        """Accept ``value``; the binary model's ``True``/``False`` return
+        shared instances."""
+        if cls is Decision:
+            if value is True:
+                return _ACCEPT_TRUE
+            if value is False:
+                return _ACCEPT_FALSE
         return cls(accepted=value, done=True)
 
     def __post_init__(self) -> None:
         if self.done and self.more_jobs:
             raise ValueError("a decision cannot both accept and dispatch")
+
+
+#: Shared decisions returned by :meth:`Decision.dispatch` (index ``n``;
+#: slot 0 is never handed out) and :meth:`Decision.accept`.
+_DISPATCHES: Tuple[Decision, ...] = tuple(Decision(more_jobs=n) for n in range(64))
+_ACCEPT_TRUE = Decision(accepted=True, done=True)
+_ACCEPT_FALSE = Decision(accepted=False, done=True)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ class Node:
             (the node goes silent; the server's deadline catches it).
         alive: False once the node has left the pool.
         busy: True while the node is executing a job.
+        slot: The node's index in its pool's available list, or ``-1``
+            while it is busy or out of the pool (kept by
+            :class:`~repro.dca.pool.NodePool`).
     """
 
     node_id: int
@@ -38,6 +41,7 @@ class Node:
     busy: bool = False
     jobs_completed: int = field(default=0, repr=False)
     jobs_failed: int = field(default=0, repr=False)
+    slot: int = field(default=-1, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.reliability <= 1.0:

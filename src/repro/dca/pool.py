@@ -19,14 +19,15 @@ class NodePool:
     """Tracks nodes and hands out random available ones.
 
     Availability is maintained with the classic swap-remove trick: a list
-    of available node ids plus an index map, giving O(1) acquire, release,
-    join, and leave.
+    of available nodes in which each node records its own position
+    (:attr:`Node.slot <repro.dca.node.Node.slot>`, ``-1`` while it is not
+    available), giving O(1) acquire, release, join, and leave without any
+    id lookup on the assignment path.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[int, Node] = {}
-        self._available: List[int] = []
-        self._available_index: Dict[int, int] = {}
+        self._available: List[Node] = []
         self._next_id = 0
         self.joins = 0
         self.departures = 0
@@ -45,6 +46,16 @@ class NodePool:
     def available_count(self) -> int:
         return len(self._available)
 
+    @property
+    def available_nodes(self) -> List[Node]:
+        """The live list of available nodes, in slot order.
+
+        The list object stays the same for the pool's lifetime, so a hot
+        loop may bind it once and test its truth value; callers must not
+        mutate it.
+        """
+        return self._available
+
     def get(self, node_id: int) -> Optional[Node]:
         return self._nodes.get(node_id)
 
@@ -60,8 +71,9 @@ class NodePool:
             raise ValueError(f"node {node.node_id} already in pool")
         self._nodes[node.node_id] = node
         node.alive = True
-        if node.available:
-            self._mark_available(node.node_id)
+        if not node.busy:
+            # An idle joiner is available, exactly as a released node is.
+            self.release(node)
         self.joins += 1
 
     def leave(self, node_id: int) -> Optional[Node]:
@@ -71,7 +83,8 @@ class NodePool:
         if node is None:
             return None
         node.alive = False
-        self._unmark_available(node_id)
+        if node.slot >= 0:
+            self._remove_available(node)
         self.departures += 1
         return node
 
@@ -87,40 +100,42 @@ class NodePool:
 
     def acquire_random(self, rng: random.Random) -> Optional[Node]:
         """Pick a uniformly random available node and mark it busy."""
-        if not self._available:
+        available = self._available
+        if not available:
             return None
-        index = rng.randrange(len(self._available))
-        node_id = self._available[index]
-        self._remove_available_at(index)
-        node = self._nodes[node_id]
+        # choice() draws exactly what randrange(len(available)) would
+        # (both are _randbelow(len)), one call shallower; the node then
+        # gives its own slot to the swap-remove of _remove_available.
+        node = rng.choice(available)
+        last = available.pop()
+        if last is not node:
+            available[node.slot] = last
+            last.slot = node.slot
+        node.slot = -1
         node.busy = True
         return node
 
     def release(self, node: Node) -> None:
-        """Return a node to the available set after its job finishes."""
+        """Return a node to the available set after its job finishes.
+
+        Only members are alive (:meth:`leave` clears the flag), so a
+        departed node stays out.
+        """
         node.busy = False
-        if node.alive and node.node_id in self._nodes:
-            self._mark_available(node.node_id)
+        if node.alive and node.slot < 0:
+            available = self._available
+            node.slot = len(available)
+            available.append(node)
 
     # ------------------------------------------------------------------
     # Internal available-set maintenance
     # ------------------------------------------------------------------
 
-    def _mark_available(self, node_id: int) -> None:
-        if node_id in self._available_index:
-            return
-        self._available_index[node_id] = len(self._available)
-        self._available.append(node_id)
-
-    def _unmark_available(self, node_id: int) -> None:
-        index = self._available_index.get(node_id)
-        if index is not None:
-            self._remove_available_at(index)
-
-    def _remove_available_at(self, index: int) -> None:
-        node_id = self._available[index]
-        last = self._available.pop()
-        del self._available_index[node_id]
-        if last != node_id:
-            self._available[index] = last
-            self._available_index[last] = index
+    def _remove_available(self, node: Node) -> None:
+        """Swap-remove an available node: the last one takes its slot."""
+        available = self._available
+        last = available.pop()
+        if last is not node:
+            available[node.slot] = last
+            last.slot = node.slot
+        node.slot = -1

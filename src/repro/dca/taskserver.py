@@ -76,16 +76,23 @@ class _Job:
     reference counting frees them.
     """
 
-    __slots__ = ("state", "node", "assigned_at", "spot_check", "value", "deadline_seq")
+    __slots__ = ("state", "node", "assigned_at", "value", "deadline_seq")
 
-    def __init__(self, state: Optional[_TaskState], node: Node, assigned_at: float) -> None:
+    def __init__(
+        self,
+        state: Optional[_TaskState],
+        node: Node,
+        assigned_at: float,
+        value=None,
+        deadline_seq: int = -1,
+    ) -> None:
         self.state = state  # None for spot-check jobs
         self.node = node
         self.assigned_at = assigned_at
-        self.spot_check = state is None
-        self.value = None
+        #: The reported value, kept only when the completion is queued.
+        self.value = value
         #: Event-order place reserved for a deadline not yet pushed.
-        self.deadline_seq = -1
+        self.deadline_seq = deadline_seq
 
 
 class TaskServer:
@@ -153,10 +160,15 @@ class TaskServer:
         self.spot_checks_issued = 0
         self._remaining = 0
 
+        # Bound once: the job path calls these without attribute lookups.
         self._rng_select = sim.rng.stream(NODE_SELECTION)
-        self._rng_durations = sim.rng.stream(DURATIONS)
+        self._draw_duration = sim.rng.stream(DURATIONS).random
         self._rng_failures = sim.rng.stream(FAILURES)
-        self._rng_spot = sim.rng.stream(SPOT_CHECKS)
+        self._draw_spot = sim.rng.stream(SPOT_CHECKS).random
+        self._report = self.failure_model.report
+        self._acquire = pool.acquire_random
+        self._release = pool.release
+        self._available = pool.available_nodes
 
         self._recorder = active(recorder if recorder is not None else sim.recorder)
         self._strategy_label = strategy.describe() if self._recorder is not None else ""
@@ -223,12 +235,28 @@ class TaskServer:
         state.waves = 1
 
     def pump(self) -> None:
-        """Assign queued jobs to available nodes (call after churn joins)."""
-        pool = self.pool
+        """Assign queued jobs to available nodes (call after churn joins).
+
+        Each assignment is one loop iteration, with no call of its own:
+        take a node, maybe divert it to a spot-check, draw the job's
+        report and duration, and queue its first event.
+        """
+        available = self._available
+        if not available:
+            return
         queue = self._queue
         followups = self._followup_queue
         prioritize = self.prioritize_followups
-        while pool.available_count > 0:
+        sim = self.sim
+        now = sim.now
+        rec = self._recorder
+        # Spot-checks divert assignments whenever a rate is set -- with a
+        # credibility manager the outcomes feed its reputation tallies;
+        # without one they are pure overhead (the DcaConfig contract).
+        # The rate gate short-circuits first, so rate-0 runs never touch
+        # the spot-check stream.
+        spot_rate = self.spot_check_rate
+        while available:
             if prioritize and followups:
                 state = followups.popleft()
             elif queue:
@@ -237,8 +265,60 @@ class TaskServer:
                 state = followups.popleft()
             else:
                 break
-            if not state.done:
-                self._assign(state)
+            if state.done:
+                continue
+            node = self._acquire(self._rng_select)
+            if spot_rate > 0.0 and self._draw_spot() < spot_rate:
+                # Divert this node to a spot-check first; the real job
+                # goes back to the head of the high-priority queue.
+                followups.appendleft(state)
+                self.spot_checks_issued += 1
+                state = None
+                task = _SPOT_CHECK_TASK
+            else:
+                task = state.task
+                if state.first_dispatch is None:
+                    state.first_dispatch = now
+            self.total_jobs_dispatched += 1
+            if rec is not None:
+                rec.span_begin(
+                    DCA_JOB_SPAN,
+                    node.node_id,
+                    now,
+                    {"task": task.task_id, "node": node.node_id, "spot_check": state is None}
+                    if rec.keeps_spans
+                    else None,
+                )
+
+            value = self._report(task, node, self._rng_failures)
+            nominal = task.nominal_duration
+            if nominal is None:
+                # random.uniform's exact arithmetic, without its frame.
+                low = self.duration_low
+                nominal = low + (self.duration_high - low) * self._draw_duration()
+            duration = node.job_duration(nominal)
+
+            # Queue only the event that fires first.  A silent job (value
+            # None) never completes, and a completion no earlier than the
+            # deadline would lose to it (a tie goes to the deadline, which
+            # takes the lower seq): either way the deadline is the job's
+            # one event.  Otherwise the completion fires first, and the
+            # deadline matters only if the node leaves mid-job, so its
+            # place in the event order is reserved -- ahead of the
+            # completion's, as if both were pushed -- and _complete_fired
+            # pushes it there then.
+            completes_at = now + duration
+            deadline_at = now + self.timeout
+            if value is None or completes_at >= deadline_at:
+                sim.schedule(deadline_at, self._deadline_fired, payload=_Job(state, node, now))
+            else:
+                # The deadline's place is reserved before the completion
+                # takes the next one.
+                sim.schedule(
+                    completes_at,
+                    self._complete_fired,
+                    payload=_Job(state, node, now, value, sim.reserve()),
+                )
 
     # ------------------------------------------------------------------
     # Dispatch machinery
@@ -252,68 +332,6 @@ class TaskServer:
         target = self._followup_queue if followup else self._queue
         target.extend([state] * count)
         self.pump()
-
-    def _maybe_spot_check(self) -> bool:
-        # Spot-checks divert assignments whenever a rate is set -- with a
-        # credibility manager the outcomes feed its reputation tallies;
-        # without one they are pure overhead (the DcaConfig contract).
-        # The rate gate short-circuits first, so rate-0 runs never touch
-        # the spot-check stream.
-        return self.spot_check_rate > 0.0 and self._rng_spot.random() < self.spot_check_rate
-
-    def _assign(self, state: _TaskState) -> None:
-        node = self.pool.acquire_random(self._rng_select)
-        if node is None:  # raced with a departure; requeue at the front
-            self._followup_queue.appendleft(state)
-            return
-        if self._maybe_spot_check():
-            # Divert this node to a spot-check first; the real job goes
-            # back to the head of the high-priority queue.
-            self._followup_queue.appendleft(state)
-            state = None
-            self.spot_checks_issued += 1
-        sim = self.sim
-        now = sim.now
-        job = _Job(state, node, now)
-        self.total_jobs_dispatched += 1
-        if state is not None and state.first_dispatch is None:
-            state.first_dispatch = now
-        rec = self._recorder
-        if rec is not None:
-            rec.span_begin(
-                DCA_JOB_SPAN,
-                node.node_id,
-                now,
-                {
-                    "task": state.task.task_id if state is not None else -1,
-                    "node": node.node_id,
-                    "spot_check": job.spot_check,
-                },
-            )
-
-        task = state.task if state is not None else _SPOT_CHECK_TASK
-        value = self.failure_model.report(task, node, self._rng_failures)
-        nominal = task.nominal_duration
-        if nominal is None:
-            nominal = self._rng_durations.uniform(self.duration_low, self.duration_high)
-        duration = node.job_duration(nominal)
-
-        # Queue only the event that fires first.  A silent job (value
-        # None) never completes, and a completion no earlier than the
-        # deadline would lose to it (a tie goes to the deadline, which
-        # takes the lower seq): either way the deadline is the job's one
-        # event.  Otherwise the completion fires first, and the deadline
-        # matters only if the node leaves mid-job, so its place in the
-        # event order is reserved -- ahead of the completion's, as if
-        # both were pushed -- and _complete_fired pushes it there then.
-        completes_at = now + duration
-        deadline_at = now + self.timeout
-        if value is None or completes_at >= deadline_at:
-            sim.schedule(deadline_at, self._deadline_fired, payload=job)
-        else:
-            job.value = value
-            job.deadline_seq = sim.reserve()
-            sim.schedule(completes_at, self._complete_fired, payload=job)
 
     def _complete_fired(self, event: Event) -> None:
         job: _Job = event.payload
@@ -330,6 +348,7 @@ class TaskServer:
             )
             return
         value = job.value
+        state = job.state
         rec = self._recorder
         if rec is not None:
             # Before the vote folds in, so the completion precedes any
@@ -339,19 +358,36 @@ class TaskServer:
                 node.node_id,
                 self.sim.now,
                 {
-                    "task": job.state.task.task_id if job.state is not None else -1,
+                    "task": state.task.task_id if state is not None else -1,
                     "node": node.node_id,
                     "value": value,
                     "outcome": "complete",
-                },
+                }
+                if rec.keeps_spans
+                else None,
             )
         self.jobs_completed += 1
-        self.pool.release(node)
-        if job.spot_check:
+        self._release(node)
+        if state is None:
             self._finish_spot_check(node, value)
         else:
             node.jobs_completed += 1
-            self._record_outcome(job, value)
+            # The vote fold of _record_timeout, inline on the hot path.
+            if not state.done:
+                vote = state.vote
+                vote.record_value(value)
+                state.jobs_used += 1
+                if self._node_aware:
+                    self.strategy.record_outcome(
+                        state.task.task_id,
+                        JobOutcome(
+                            value=value,
+                            node_id=node.node_id,
+                            elapsed=self.sim.now - job.assigned_at,
+                        ),
+                    )
+                if vote.outstanding == 0:
+                    self._decide(state)
         self.pump()
 
     def _deadline_fired(self, event: Event) -> None:
@@ -367,7 +403,9 @@ class TaskServer:
                     "task": job.state.task.task_id if job.state is not None else -1,
                     "node": node.node_id,
                     "outcome": "timeout",
-                },
+                }
+                if rec.keeps_spans
+                else None,
             )
         self.jobs_timed_out += 1
         node.jobs_failed += 1
@@ -375,12 +413,12 @@ class TaskServer:
         # we return it to the pool (it "recovers"), mirroring flaky
         # volunteers that stay registered.
         if node.alive:
-            self.pool.release(node)
-        if job.spot_check:
+            self._release(node)
+        if job.state is None:
             if self._credibility_manager is not None:
                 self._credibility_manager.spot_check(node.node_id, passed=False)
         else:
-            self._record_outcome(job, None)
+            self._record_timeout(job)
         self.pump()
 
     def _finish_spot_check(self, node: Node, value) -> None:
@@ -392,23 +430,22 @@ class TaskServer:
     # Vote bookkeeping
     # ------------------------------------------------------------------
 
-    def _record_outcome(self, job: _Job, value) -> None:
-        """Fold a finished job's value (``None`` on timeout) into its vote."""
+    def _record_timeout(self, job: _Job) -> None:
+        """Fold a timed-out job's ``None`` into its vote.
+
+        A completed job's value is folded the same way, inline in
+        :meth:`_complete_fired`.
+        """
         state = job.state
         assert state is not None
         if state.done:
             return
-        state.vote.record_value(value)
+        state.vote.record_value(None)
         state.jobs_used += 1
         if self._node_aware:
+            # A timed-out job never reported, so it has no latency.
             self.strategy.record_outcome(
-                state.task.task_id,
-                JobOutcome(
-                    value=value,
-                    node_id=job.node.node_id,
-                    # A timed-out job never reported, so it has no latency.
-                    elapsed=None if value is None else self.sim.now - job.assigned_at,
-                ),
+                state.task.task_id, JobOutcome(value=None, node_id=job.node.node_id)
             )
         if state.vote.outstanding == 0:
             self._decide(state)

@@ -10,6 +10,7 @@ the failure model, which may invent distinct wrong values per job.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
@@ -25,8 +26,9 @@ class Task:
         true_value: The correct result (ground truth for scoring).
         wrong_value: The value colluding Byzantine nodes agree to report
             for this task (the binary worst case).
-        nominal_duration: Optional fixed nominal job duration; ``None``
-            means the simulation draws from its duration distribution.
+        nominal_duration: Optional fixed nominal job duration, finite and
+            non-negative; ``None`` means the simulation draws from its
+            duration distribution.
     """
 
     task_id: int
@@ -37,6 +39,11 @@ class Task:
     def __post_init__(self) -> None:
         if self.true_value == self.wrong_value:
             raise ValueError("true and wrong values must differ")
+        nominal = self.nominal_duration
+        if nominal is not None and not (math.isfinite(nominal) and nominal >= 0):
+            raise ValueError(
+                f"nominal duration must be finite and non-negative, got {nominal}"
+            )
 
 
 class Workload:

@@ -38,9 +38,15 @@ class Recorder:
         enabled: False for no-op recorders.  Instrumented components
             check it once at attach time and drop disabled recorders, so
             per-event calls never happen when telemetry is off.
+        keeps_spans: False once span attributes would be discarded
+            unread.  A hot path may then pass ``attrs=None`` to
+            :meth:`span_begin`/:meth:`span_end` instead of building a
+            dict; it must still make both calls, since the recorder
+            tracks open spans by key.
     """
 
     enabled = False
+    keeps_spans = True
 
     def event(self, name: str, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
         """Record an instant event at simulated ``time``."""
@@ -138,6 +144,8 @@ class TelemetryRecorder(Recorder):
         self._open: Dict[Tuple[str, Any], Optional[Tuple[float, Dict[str, Any]]]] = {}
         self._max_spans = max_spans
         self._max_events = max_events
+        #: Records only grow, so this turns False for good at the cap.
+        self.keeps_spans = max_spans is None or max_spans > 0
         self.dropped_spans = 0
         self.dropped_events = 0
 
@@ -150,16 +158,14 @@ class TelemetryRecorder(Recorder):
         self._events.append(EventRecord(name, time, dict(attrs) if attrs else {}))
 
     def span_begin(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
-        cap = self._max_spans
-        if cap is not None and len(self._spans) >= cap:
-            self._open[(name, key)] = None
-        else:
+        if self.keeps_spans:
             self._open[(name, key)] = (time, dict(attrs) if attrs else {})
+        else:
+            self._open[(name, key)] = None
 
     def span_end(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
         opened = self._open.pop((name, key), None)
-        cap = self._max_spans
-        if cap is not None and len(self._spans) >= cap:
+        if not self.keeps_spans:
             self.dropped_spans += 1
             return
         # Below the cap no open span is drop-bound, so None means unmatched.
@@ -169,9 +175,10 @@ class TelemetryRecorder(Recorder):
             start, merged = opened
         if attrs:
             merged.update(attrs)
-        self._spans.append(
-            SpanRecord(name, key, start, time, merged, unmatched=opened is None)
-        )
+        spans = self._spans
+        spans.append(SpanRecord(name, key, start, time, merged, unmatched=opened is None))
+        if len(spans) == self._max_spans:
+            self.keeps_spans = False
 
     def count(self, name: str, value: Number = 1, labels: Optional[Mapping[str, Any]] = None) -> None:
         family = self._counters.get(name)
@@ -235,6 +242,10 @@ class TeeRecorder(Recorder):
             if recorder is not None and recorder.enabled
         )
         self.enabled = bool(self.recorders)
+
+    @property
+    def keeps_spans(self) -> bool:  # type: ignore[override]
+        return any(recorder.keeps_spans for recorder in self.recorders)
 
     def event(self, name: str, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
         for recorder in self.recorders:

@@ -9,9 +9,9 @@ pool and still produce results byte-identical to a serial run:
 * :mod:`repro.parallel.seeds` derives one decorrelated seed per
   replicate from the experiment's base seed via
   :meth:`~repro.sim.rng.RngRegistry.spawn`;
-* :mod:`repro.parallel.engine` maps a picklable worker over the specs
-  with chunked, straggler-aware scheduling (``--jobs 1`` is the exact
-  legacy in-process serial path);
+* :mod:`repro.parallel.engine` maps a picklable worker over the specs,
+  one spec per pool task so idle workers pull the next (``--jobs 1`` is
+  the exact legacy in-process serial path);
 * :mod:`repro.parallel.reducer` folds the per-replicate envelopes back
   into means/standard errors in *spec order*, so aggregates never depend
   on completion order;
@@ -33,7 +33,6 @@ from repro.parallel.dca import (
 from repro.parallel.engine import (
     ReplicateError,
     WorkerCrash,
-    default_chunk_size,
     parallel_map,
     resolve_jobs,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "aggregate_metrics",
     "combined_fingerprint",
     "dca_replicate_specs",
-    "default_chunk_size",
     "fingerprint_of",
     "mean",
     "merge_shard_columns",

@@ -2,20 +2,20 @@
 
 Fans a picklable worker out over independent items and returns the
 results **in submission order**, so callers see exactly what a serial
-loop would have produced.  Scheduling is chunked and straggler-aware:
+loop would have produced.  Scheduling is straggler-aware:
 
-* items are grouped into small chunks (``items / (jobs * 4)`` by
-  default) and every chunk is submitted to the shared pool queue up
-  front.  Idle workers pull the next chunk the moment they finish, so a
-  straggling replicate delays only its own small chunk instead of a
-  statically partitioned quarter of the run -- oversubscription *is* the
-  work-stealing policy;
+* by default every item is its own pool task, and all of them are
+  submitted to the shared pool queue up front.  An idle worker pulls the
+  next item the moment it finishes, so uneven item costs rebalance
+  themselves and no worker idles while another still holds a queued
+  item.  ``chunk_size=`` groups items per task instead, for callers
+  whose items are too cheap to pay one pipe round trip each;
 * ``jobs=1`` bypasses the pool entirely and runs the exact legacy
   serial path in-process (no executor, no pickling);
 * a worker crash is captured in the child and re-raised in the parent
   as :class:`ReplicateError` naming the first crashed item by position,
   deterministically (the lowest position wins, regardless of which
-  chunk happened to finish first).
+  task happened to finish first).
 
 Workers must be module-level functions and items picklable; both are
 shipped through the pool's pipe even under the fork start method.
@@ -23,17 +23,12 @@ shipped through the pool's pipe even under the fork start method.
 
 from __future__ import annotations
 
-import math
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-#: Chunks per worker; >1 oversubscribes so stragglers rebalance.
-OVERSUBSCRIPTION = 4
-
 
 @dataclass(frozen=True)
 class WorkerCrash:
@@ -87,15 +82,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def default_chunk_size(items: int, jobs: int) -> int:
-    """Chunk size that oversubscribes each worker ``OVERSUBSCRIPTION``-fold."""
-    if items < 1:
-        return 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
-    return max(1, math.ceil(items / (jobs * OVERSUBSCRIPTION)))
-
-
 def _run_chunk(
     worker: Callable[[Any], Any],
     positioned: Sequence[Tuple[int, Any]],
@@ -137,8 +123,8 @@ def parallel_map(
             order.
         jobs: Worker processes.  ``None`` uses all cores; ``1`` runs the
             exact serial in-process path.
-        chunk_size: Items per pool task; defaults to
-            :func:`default_chunk_size`.
+        chunk_size: Items per pool task; defaults to one, so idle
+            workers pull the next item as soon as they finish.
 
     Raises:
         ReplicateError: if any item's worker raised; the error names the
@@ -151,7 +137,7 @@ def parallel_map(
     if effective_jobs <= 1:
         return _serial_map(worker, work)
     if chunk_size is None:
-        chunk_size = default_chunk_size(len(work), effective_jobs)
+        chunk_size = 1
     elif chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
     positioned = list(enumerate(work))

@@ -88,9 +88,14 @@ class Simulator:
         the place it would have had if scheduled at reservation time.
 
         Raises:
-            SimulationError: if ``time`` precedes the current clock.
+            SimulationError: if ``time`` precedes the current clock or is
+                NaN (``+inf`` is legal: such an event never fires before
+                any finite one).
         """
-        if time < self.now:
+        # One comparison on the hot path: NaN fails it as well as the past.
+        if not time >= self.now:
+            if time != time:
+                raise SimulationError("cannot schedule an event at a NaN time")
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self.now}"
             )
@@ -108,7 +113,10 @@ class Simulator:
         priority: int = DEFAULT_PRIORITY,
         payload: Any = None,
     ) -> Event:
-        """Schedule ``callback`` after a non-negative relative ``delay``."""
+        """Schedule ``callback`` after a non-negative relative ``delay``.
+
+        A NaN delay is rejected by :meth:`schedule`'s NaN check.
+        """
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.schedule(self.now + delay, callback, priority=priority, payload=payload)

@@ -165,6 +165,10 @@ class TestCli:
         assert document["diverged"] is False
         assert document["serial_checksum"] == document["parallel_checksum"]
         assert document["results"]["speedup"] > 0
+        # serial wall / (jobs x parallel wall), i.e. speedup per worker.
+        assert document["results"]["parallel_efficiency"] == pytest.approx(
+            document["results"]["speedup"] / document["jobs"]
+        )
 
     def test_divergence_is_a_failure(self, tmp_path, capsys, monkeypatch):
         def fake_suite(**kwargs):

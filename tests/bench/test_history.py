@@ -40,6 +40,12 @@ class TestRow:
             "timestamp": "2026-08-08T00:00:00+00:00",
         }
 
+    def test_parallel_efficiency_is_carried_when_reported(self):
+        payload = dict(PAYLOAD, results={"speedup": 1.8, "parallel_efficiency": 0.9})
+        row = history_row("figure_sweep", payload, timestamp="t", git_sha="s")
+        assert row["parallel_efficiency"] == 0.9
+        assert "parallel_efficiency" not in history_row("scale", PAYLOAD, timestamp="t", git_sha="s")
+
     def test_timings_may_be_absent(self):
         row = history_row("x", {"seed": 0}, timestamp="t", git_sha="s")
         assert row["best_seconds"] == {}

@@ -1,5 +1,7 @@
 """Unit tests for VoteState, Decision, and JobOutcome."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,6 +126,102 @@ class TestDecision:
     def test_cannot_accept_and_dispatch(self):
         with pytest.raises(ValueError):
             Decision(more_jobs=2, accepted="x", done=True)
+
+
+class _SameRepr:
+    """Distinct, unequal values whose reprs tie."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __repr__(self):
+        return "same"
+
+
+#: Hashable values whose pairs exercise every branch of the two-value
+#: ranking: equal counts, equal reprs, reprs that order against the
+#: insertion order.
+_RANKED_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.text(max_size=3),
+    st.tuples(st.integers(0, 2), st.text(max_size=2)),
+    st.builds(_SameRepr, st.integers(0, 3)),
+)
+
+
+class TestTwoValueRanking:
+    """``ranked()`` on a two-value vote against the sorted ranking it replaced."""
+
+    @staticmethod
+    def _sorted_ranking(counts):
+        return tuple(sorted(counts.items(), key=lambda kv: (-kv[1], repr(kv[0]))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        first=_RANKED_VALUES,
+        second=_RANKED_VALUES,
+        first_count=st.integers(1, 4),
+        second_count=st.integers(1, 4),
+    )
+    def test_matches_sorted_ranking(self, first, second, first_count, second_count):
+        counts = {first: first_count}
+        if second in counts:
+            return  # equal values share one count: not a two-value vote
+        counts[second] = second_count
+        vote = VoteState.from_counts(counts)
+        assert vote.ranked() == self._sorted_ranking(counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_RANKED_VALUES, max_size=12))
+    def test_matches_sorted_ranking_while_folding(self, values):
+        vote = VoteState()
+        for value in values:
+            vote.record_value(value)
+            assert vote.ranked() == self._sorted_ranking(vote.counts)
+
+    def test_exact_tie_with_equal_reprs_keeps_insertion_order(self):
+        a, b = _SameRepr(1), _SameRepr(2)
+        assert VoteState.from_counts({a: 2, b: 2}).ranked() == ((a, 2), (b, 2))
+        assert VoteState.from_counts({b: 2, a: 2}).ranked() == ((b, 2), (a, 2))
+
+    def test_tie_breaks_by_repr(self):
+        assert VoteState.from_counts({True: 1, False: 1}).ranked() == ((False, 1), (True, 1))
+
+
+class TestSharedDecisions:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 200))
+    def test_dispatch_equals_fresh(self, n):
+        assert Decision.dispatch(n) == Decision(more_jobs=n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=_RANKED_VALUES)
+    def test_accept_equals_fresh(self, value):
+        decision = Decision.accept(value)
+        assert decision == Decision(accepted=value, done=True)
+        assert decision.accepted is value
+
+    def test_binary_decisions_are_shared(self):
+        assert Decision.accept(True) is Decision.accept(True)
+        assert Decision.accept(False) is Decision.accept(False)
+        assert Decision.dispatch(3) is Decision.dispatch(3)
+
+    def test_values_equal_to_booleans_keep_their_type(self):
+        # 1 == True, but the accepted value must stay the int.
+        assert type(Decision.accept(1).accepted) is int
+        assert type(Decision.accept(0.0).accepted) is float
+
+    @pytest.mark.parametrize("n", [0, -1, -100])
+    def test_non_positive_dispatch_still_raises(self, n):
+        with pytest.raises(ValueError):
+            Decision.dispatch(n)
+
+    def test_shared_decisions_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Decision.dispatch(2).more_jobs = 5  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Decision.accept(True).accepted = False  # type: ignore[misc]
 
 
 class TestJobOutcome:

@@ -143,6 +143,15 @@ class TestWorkload:
         with pytest.raises(ValueError):
             Workload(0)
 
+    @pytest.mark.parametrize("duration", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_task_rejects_bad_nominal_duration(self, duration):
+        with pytest.raises(ValueError, match="nominal duration"):
+            Task(task_id=0, nominal_duration=duration)
+
+    @pytest.mark.parametrize("duration", [None, 0.0, 0.75, 3])
+    def test_task_accepts_finite_non_negative_duration(self, duration):
+        assert Task(task_id=0, nominal_duration=duration).nominal_duration == duration
+
     def test_task_values_must_differ(self):
         with pytest.raises(ValueError):
             Task(task_id=0, true_value="x", wrong_value="x")

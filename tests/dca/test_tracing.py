@@ -15,6 +15,7 @@ from repro.dca.tracing import (
     TraceLog,
     instrument_server,
 )
+from repro.obs import TelemetryRecorder
 
 
 def run_traced(strategy, capacity=None, **overrides):
@@ -112,3 +113,31 @@ class TestInstrumentedRuns:
         assert text.startswith("task 0")
         assert "submit" in text
         assert "accept" in text
+
+
+class TestTeeWithCappedTelemetry:
+    """A full span cap stops the server building job-span attrs only while
+    no recorder in the tee still keeps them: the trace log sees them all."""
+
+    @staticmethod
+    def _events(recorder):
+        config = DcaConfig(
+            strategy=IterativeRedundancy(2),
+            tasks=30,
+            nodes=8,
+            reliability=0.7,
+            seed=5,
+            unresponsive_prob=0.1,
+        )
+        simulation = DcaSimulation(config, recorder=recorder)
+        log = instrument_server(simulation.server, TraceLog())
+        simulation.run()
+        return [(e.time, e.kind, e.task_id, e.detail) for e in log]
+
+    def test_trace_log_unchanged_by_telemetry_cap(self):
+        capped = TelemetryRecorder(max_spans=3)
+        events = self._events(capped)
+        assert not capped.keeps_spans and capped.dropped_spans > 0
+        assert events == self._events(None)
+        assert any(kind == COMPLETE and "value" in detail for _, kind, _, detail in events)
+        assert any(kind == TIMEOUT and "node" in detail for _, kind, _, detail in events)

@@ -75,6 +75,16 @@ class TestTelemetryRecorder:
         (span,) = recorder.spans
         assert (span.key, span.attrs) == (1, {"node": 1})
 
+    def test_keeps_spans_turns_false_at_the_cap(self):
+        recorder = TelemetryRecorder(max_spans=2)
+        for key in (1, 2):
+            assert recorder.keeps_spans
+            recorder.span_begin("job", key, 0.0)
+            recorder.span_end("job", key, 1.0)
+        assert not recorder.keeps_spans
+        assert TelemetryRecorder().keeps_spans
+        assert not TelemetryRecorder(max_spans=0).keeps_spans
+
     def test_begin_attrs_are_copied_below_the_cap(self):
         recorder = TelemetryRecorder(max_spans=5)
         attrs = {"node": 1}
@@ -172,6 +182,12 @@ class TestTeeRecorder:
         assert a.registry.counter("c").value() == 2
         assert b.registry.counter("c").value() == 2
         assert len(a.events) == len(b.events) == 1
+
+    def test_keeps_spans_while_any_recorder_does(self):
+        capped, uncapped = TelemetryRecorder(max_spans=0), TelemetryRecorder()
+        assert TeeRecorder(capped, uncapped).keeps_spans
+        assert not TeeRecorder(capped, TelemetryRecorder(max_spans=0)).keeps_spans
+        assert Recorder().keeps_spans
 
     def test_base_recorder_interface_is_noop(self):
         # The abstract base must be safe to call: adapters may override

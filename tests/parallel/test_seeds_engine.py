@@ -1,17 +1,21 @@
 # reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """Unit tests for the replication engine primitives: seed derivation,
-chunking, job resolution, ordered parallel mapping, and crash surfacing."""
+pool-task sizing, job resolution, ordered parallel mapping, and crash
+surfacing."""
+
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.parallel import (
     ReplicateError,
-    default_chunk_size,
     fingerprint_of,
     parallel_map,
     replicate_seeds,
     resolve_jobs,
 )
+from repro.parallel import engine
 from repro.sim.rng import RngRegistry
 
 
@@ -56,15 +60,56 @@ class TestResolveJobsAndChunks:
         with pytest.raises(ValueError):
             resolve_jobs(0)
 
-    def test_chunks_oversubscribe(self):
-        # 4 chunks per worker so stragglers get backfilled.
-        assert default_chunk_size(100, 4) == 7
-        assert default_chunk_size(3, 8) == 1
-        assert default_chunk_size(0, 4) == 1
+    def test_default_submits_one_item_per_task(self, monkeypatch):
+        # One item per pool task, so an idle worker pulls the next item.
+        sizes = _record_task_sizes(monkeypatch)
+        assert parallel_map(_square, range(9), jobs=2) == [x * x for x in range(9)]
+        assert sizes == [1] * 9
+
+    def test_explicit_chunk_size_groups_items(self, monkeypatch):
+        sizes = _record_task_sizes(monkeypatch)
+        assert parallel_map(_square, range(9), jobs=2, chunk_size=4) == [
+            x * x for x in range(9)
+        ]
+        assert sizes == [4, 4, 1]
+
+    def test_rejects_non_positive_chunk_size(self):
+        with pytest.raises(ValueError):
+            parallel_map(_square, range(3), jobs=2, chunk_size=0)
+
+
+def _record_task_sizes(monkeypatch):
+    """Patch the engine's pool to log how many items each task carries."""
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            sizes.append(len(args[1]))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 def _square(x):
     return x * x
+
+
+def _uneven(x):
+    """Cost grows steeply with ``x`` so the pool's tasks finish out of order."""
+    time.sleep(0.002 * (x % 5) ** 2)
+    return (x, x * x)
+
+
+def _slow_fail_early(x):
+    # The lowest failing position is also the slowest item, so it
+    # completes after the later failure.
+    if x == 1:
+        time.sleep(0.3)
+        raise ValueError("slow failure at 1")
+    if x == 6:
+        raise ValueError("fast failure at 6")
+    return x
 
 
 def _fail_on_odd(x):
@@ -85,6 +130,16 @@ class TestParallelMap:
         assert parallel_map(_square, items, jobs=4, chunk_size=1) == [
             x * x for x in items
         ]
+
+    def test_uneven_costs_parallel_matches_serial(self):
+        items = [4, 0, 3, 1, 4, 2, 0, 4, 3, 1, 2]
+        assert parallel_map(_uneven, items, jobs=2) == parallel_map(_uneven, items, jobs=1)
+
+    def test_crash_lowest_position_wins_over_earlier_completion(self):
+        with pytest.raises(ReplicateError) as excinfo:
+            parallel_map(_slow_fail_early, list(range(8)), jobs=2)
+        assert excinfo.value.position == 1
+        assert "slow failure at 1" in str(excinfo.value)
 
     def test_crash_names_lowest_failed_position(self):
         with pytest.raises(ReplicateError) as excinfo:

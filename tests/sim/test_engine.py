@@ -41,6 +41,36 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(1.0, lambda ev: None)
 
+    def test_nan_time_rejected(self):
+        sim = Simulator(seed=1)
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.schedule(float("nan"), lambda ev: None)
+        assert sim.pending == 0
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator(seed=1)
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.schedule_after(float("nan"), lambda ev: None)
+        assert sim.pending == 0
+
+    def test_nan_rejected_after_clock_advanced(self):
+        sim = Simulator(seed=1)
+        sim.schedule(2.0, lambda ev: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.schedule(float("nan"), lambda ev: None)
+        assert sim.now == 2.0
+
+    def test_infinite_time_and_delay_allowed(self):
+        sim = Simulator(seed=1)
+        fired = []
+        sim.schedule(float("inf"), lambda ev: fired.append("at"))
+        sim.schedule_after(float("inf"), lambda ev: fired.append("after"))
+        sim.schedule(1.0, lambda ev: fired.append("finite"))
+        sim.run()
+        assert fired == ["finite", "at", "after"]
+        assert sim.now == float("inf")
+
     def test_negative_delay_rejected(self):
         sim = Simulator(seed=1)
         with pytest.raises(SimulationError):
