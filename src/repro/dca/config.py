@@ -32,7 +32,7 @@ class DcaConfig:
             or a :class:`ReliabilityDistribution` for heterogeneous pools
             (Section 5.3).
         duration_low / duration_high: Bounds of the uniform nominal job
-            duration.
+            duration, with ``0 < duration_low <= duration_high < inf``.
         seed: Root seed; every subsystem derives its own stream.
         timeout: Job deadline.  ``None`` picks
             ``deadline_factor * duration_high`` (times the slowest speed
@@ -82,9 +82,10 @@ class DcaConfig:
             raise ValueError(f"need at least one task, got {self.tasks}")
         if self.nodes < 1:
             raise ValueError(f"need at least one node, got {self.nodes}")
-        if not 0.0 < self.duration_low <= self.duration_high:
+        # Chained so that NaN fails too.
+        if not 0.0 < self.duration_low <= self.duration_high < math.inf:
             raise ValueError(
-                f"need 0 < duration_low <= duration_high, got "
+                f"need 0 < duration_low <= duration_high < inf, got "
                 f"[{self.duration_low}, {self.duration_high}]"
             )
         if not 0.0 <= self.unresponsive_prob < 1.0:

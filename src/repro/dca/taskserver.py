@@ -40,7 +40,7 @@ from repro.obs.names import (
     DCA_TIMEOUTS,
     DCA_WAVE_SIZE,
 )
-from repro.obs.recorder import Recorder, TeeRecorder, active
+from repro.obs.recorder import active
 from repro.sim.engine import Simulator, StopSimulation
 from repro.sim.streams import DURATIONS, FAILURES, NODE_SELECTION, SPOT_CHECKS
 from repro.sim.events import Event
@@ -110,10 +110,11 @@ class TaskServer:
             spot-check; outcomes feed the strategy's credibility manager
             when it exposes one.
         on_all_done: Called once every submitted task has a verdict.
-        recorder: Telemetry recorder (see :mod:`repro.obs`); defaults to
-            the simulator's.  Disabled recorders normalize to ``None``,
-            so every instrumentation site is a single ``is not None``
-            branch when telemetry is off.
+
+    The server records into the simulator's recorder (see
+    :mod:`repro.obs`), read once at construction.  A disabled recorder
+    normalizes to ``None``, so every instrumentation site is a single
+    ``is not None`` branch when telemetry is off.
     """
 
     def __init__(
@@ -129,7 +130,6 @@ class TaskServer:
         spot_check_rate: float = 0.0,
         prioritize_followups: bool = True,
         on_all_done: Optional[Callable[[], None]] = None,
-        recorder: Optional[Recorder] = None,
     ) -> None:
         self.sim = sim
         self.pool = pool
@@ -170,24 +170,8 @@ class TaskServer:
         self._release = pool.release
         self._available = pool.available_nodes
 
-        self._recorder = active(recorder if recorder is not None else sim.recorder)
+        self._recorder = active(sim.recorder)
         self._strategy_label = strategy.describe() if self._recorder is not None else ""
-
-    def attach_recorder(self, recorder: Optional[Recorder]) -> None:
-        """Attach ``recorder`` (teeing onto any recorder already set).
-
-        This is how :func:`repro.dca.tracing.instrument_server` hooks a
-        legacy :class:`~repro.dca.tracing.TraceLog` onto the unified
-        telemetry stream after construction.
-        """
-        recorder = active(recorder)
-        if recorder is None:
-            return
-        if self._recorder is None:
-            self._recorder = recorder
-        else:
-            self._recorder = TeeRecorder(self._recorder, recorder)
-        self._strategy_label = self.strategy.describe()
 
     # ------------------------------------------------------------------
     # Public API

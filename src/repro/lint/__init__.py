@@ -22,9 +22,9 @@ Four complementary parts:
   interprocedurally through the call graph, and enforces the
   replicate-isolation invariants (RL201-RL205);
 * a runtime sanitizer (:mod:`repro.lint.sanitizer`) that replays a
-  simulation from the same seed and pinpoints the first diverging trace
-  event when the static rules missed something -- with runners for the
-  DCA, grid, and MapReduce substrates.
+  simulation from the same seed and pinpoints the first diverging
+  recorded span, event, or task record when the static rules missed
+  something -- with runners for the DCA, grid, and MapReduce substrates.
 
 Run the linter with ``python -m repro.lint [paths]`` or the
 ``repro-lint`` console script; see ``docs/linting.md``.

@@ -1,12 +1,15 @@
-"""Runtime determinism sanitizer: replay a simulation and diff the traces.
+"""Runtime determinism sanitizer: replay a simulation and diff the records.
 
 The static rules in :mod:`repro.lint.rules` catch the *sources* of
 nondeterminism they know about; this module catches the symptom directly.
 A :class:`DeterminismSanitizer` executes the same experiment several
-times from the same seed, captures each run's :class:`~repro.dca.tracing.TraceLog`
-event stream and final metrics, and reports the **first diverging event**
--- the exact simulated time and payload where replay broke, which is
-usually within a few events of the offending draw.
+times from the same seed, captures each run as canonical text lines plus
+its final metrics, and reports the **first diverging line** -- the exact
+simulated time and payload where replay broke, which is usually within a
+few records of the offending draw.  A DCA run is captured through an
+uncapped :class:`~repro.obs.TelemetryRecorder` (its spans, its events,
+and its metric snapshot among the final metrics); grid and MapReduce
+runs through their reports' per-task records.
 
 Example:
     >>> from repro.core import IterativeRedundancy
@@ -21,18 +24,18 @@ Example:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dca.config import DcaConfig
 from repro.dca.report import DcaReport
 from repro.dca.simulation import DcaSimulation
-from repro.dca.tracing import DECIDE, TraceEvent, TraceLog, instrument_server
 from repro.grid.run import GridConfig, run_grid
 from repro.mapreduce.engine import MapReduceJob, run_mapreduce
+from repro.obs.recorder import TelemetryRecorder
 
-#: One run's observable outcome: the trace stream and the final metrics.
-RunCapture = Tuple[Sequence[TraceEvent], Mapping[str, Any]]
+#: One run's observable outcome: canonical record lines and the final metrics.
+RunCapture = Tuple[Sequence[str], Mapping[str, Any]]
 Runner = Callable[[], RunCapture]
 
 
@@ -40,15 +43,34 @@ class DeterminismError(AssertionError):
     """Raised by :meth:`SanitizerReport.raise_if_diverged` on divergence."""
 
 
-def canonical_event(event: TraceEvent) -> str:
-    """A stable, byte-comparable rendering of one trace event."""
-    detail = ",".join(f"{key}={event.detail[key]!r}" for key in sorted(event.detail))
-    return f"t={event.time!r} {event.kind} task={event.task_id} [{detail}]"
+def _attrs(attrs: Mapping[str, Any]) -> str:
+    return ",".join(f"{key}={attrs[key]!r}" for key in sorted(attrs))
 
 
-def trace_fingerprint(events: Sequence[TraceEvent]) -> str:
-    """Canonical text for a whole stream (byte-identical iff streams are)."""
-    return "\n".join(canonical_event(event) for event in events)
+def canonical_span(span: Mapping[str, Any]) -> str:
+    """A stable, byte-comparable rendering of one recorded span dict."""
+    unmatched = " unmatched" if span["unmatched"] else ""
+    return (
+        f"t={span['start']!r}..{span['end']!r} {span['name']} "
+        f"key={span['key']!r} [{_attrs(span['attrs'])}]{unmatched}"
+    )
+
+
+def canonical_event(event: Mapping[str, Any]) -> str:
+    """A stable, byte-comparable rendering of one recorded event dict."""
+    return f"t={event['time']!r} {event['name']} [{_attrs(event['attrs'])}]"
+
+
+def payload_lines(payload: Mapping[str, Any]) -> List[str]:
+    """Canonical lines of a recorder payload: spans in close order, then events."""
+    return [canonical_span(span) for span in payload["spans"]] + [
+        canonical_event(event) for event in payload["events"]
+    ]
+
+
+def trace_fingerprint(lines: Sequence[str]) -> str:
+    """Canonical text for a whole capture (byte-identical iff captures are)."""
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -56,10 +78,10 @@ class Divergence:
     """Where two supposedly identical runs first disagreed.
 
     Attributes:
-        kind: ``"event"`` (payload mismatch at ``index``), ``"length"``
-            (one stream is a strict prefix of the other), or ``"metric"``
-            (identical traces but different final metrics).
-        index: Index of the first diverging event (-1 for metric kind).
+        kind: ``"event"`` (line mismatch at ``index``), ``"length"``
+            (one capture is a strict prefix of the other), or ``"metric"``
+            (identical lines but different final metrics).
+        index: Index of the first diverging line (-1 for metric kind).
         expected: Canonical rendering from the reference run.
         observed: Canonical rendering from the diverging run.
     """
@@ -74,11 +96,11 @@ class Divergence:
             return f"final metrics diverged: expected {self.expected}, observed {self.observed}"
         if self.kind == "length":
             return (
-                f"trace streams diverged at event #{self.index}: "
+                f"captures diverged at line #{self.index}: "
                 f"one run ended, the other recorded {self.observed}"
             )
         return (
-            f"first divergence at trace event #{self.index}: "
+            f"first divergence at line #{self.index}: "
             f"expected {self.expected}, observed {self.observed}"
         )
 
@@ -96,7 +118,7 @@ class SanitizerReport:
         if self.ok:
             return (
                 f"deterministic: {self.runs} runs produced identical "
-                f"{self.events_compared}-event traces and metrics"
+                f"{self.events_compared}-line captures and metrics"
             )
         assert self.divergence is not None
         return f"NONDETERMINISM after {self.runs} runs: {self.divergence.describe()}"
@@ -108,24 +130,19 @@ class SanitizerReport:
 
 def diff_captures(reference: RunCapture, observed: RunCapture) -> Optional[Divergence]:
     """First divergence between two run captures, or ``None`` if identical."""
-    ref_events, ref_metrics = reference
-    obs_events, obs_metrics = observed
-    for index, (expected, got) in enumerate(zip(ref_events, obs_events)):
+    ref_lines, ref_metrics = reference
+    obs_lines, obs_metrics = observed
+    for index, (expected, got) in enumerate(zip(ref_lines, obs_lines)):
         if expected != got:
-            return Divergence(
-                kind="event",
-                index=index,
-                expected=canonical_event(expected),
-                observed=canonical_event(got),
-            )
-    if len(ref_events) != len(obs_events):
-        index = min(len(ref_events), len(obs_events))
-        longer = ref_events if len(ref_events) > len(obs_events) else obs_events
+            return Divergence(kind="event", index=index, expected=expected, observed=got)
+    if len(ref_lines) != len(obs_lines):
+        index = min(len(ref_lines), len(obs_lines))
+        longer = ref_lines if len(ref_lines) > len(obs_lines) else obs_lines
         return Divergence(
             kind="length",
             index=index,
-            expected=f"{len(ref_events)} events",
-            observed=canonical_event(longer[index]),
+            expected=f"{len(ref_lines)} lines",
+            observed=longer[index],
         )
     if dict(ref_metrics) != dict(obs_metrics):
         changed = sorted(
@@ -147,7 +164,7 @@ class DeterminismSanitizer:
 
     Args:
         runner: Zero-argument callable executing one *fresh* run and
-            returning ``(trace events, final metrics)``.  The runner must
+            returning ``(canonical lines, final metrics)``.  The runner must
             rebuild all state per call -- the sanitizer cannot detect
             state smuggled between runs through shared objects.
         runs: Total executions (>= 2).
@@ -174,58 +191,40 @@ class DeterminismSanitizer:
         return SanitizerReport(ok=True, runs=self.runs, events_compared=len(reference[0]))
 
 
-def dca_runner(config: DcaConfig, *, trace_capacity: Optional[int] = None) -> Runner:
+def dca_runner(config: DcaConfig) -> Runner:
     """A :class:`DeterminismSanitizer` runner for one DCA configuration.
 
     The config (including its strategy, which may carry reputation state)
-    is deep-copied per run so every execution starts from scratch.
+    is deep-copied per run so every execution starts from scratch.  The
+    final metrics are the report's plus the recorder's metric snapshot.
     """
 
     def run() -> RunCapture:
-        sim = DcaSimulation(copy.deepcopy(config))
-        log = instrument_server(sim.server, TraceLog(capacity=trace_capacity))
-        report = sim.run()
-        events: List[TraceEvent] = list(log)
-        return events, report.as_dict()
+        recorder = TelemetryRecorder()
+        report = DcaSimulation(copy.deepcopy(config), recorder=recorder).run()
+        payload = recorder.as_payload()
+        metrics = dict(report.as_dict())
+        metrics["telemetry"] = payload["metrics"]
+        metrics["open_spans"] = payload["open_spans"]
+        return payload_lines(payload), metrics
 
     return run
 
 
-def sanitize_dca(
-    config: DcaConfig,
-    *,
-    runs: int = 2,
-    trace_capacity: Optional[int] = None,
-) -> SanitizerReport:
-    """Run a DCA simulation ``runs`` times and diff traces and metrics."""
-    sanitizer = DeterminismSanitizer(dca_runner(config, trace_capacity=trace_capacity), runs=runs)
-    return sanitizer.check()
+def sanitize_dca(config: DcaConfig, *, runs: int = 2) -> SanitizerReport:
+    """Run a DCA simulation ``runs`` times and diff records and metrics."""
+    return DeterminismSanitizer(dca_runner(config), runs=runs).check()
 
 
-def _record_events(report: DcaReport) -> List[TraceEvent]:
-    """Synthetic DECIDE events from a report's per-task records.
+def _record_lines(report: DcaReport) -> List[str]:
+    """Canonical lines of a report's per-task records.
 
     The grid and MapReduce substrates drive their simulations internally,
-    so there is no server to instrument; the per-task records carry
-    enough of the outcome (value, cost, timing) that byte-comparing them
-    as trace events catches any replay divergence in decision, ordering,
-    scheduling, or timing.
+    so there is no recorder to read; the per-task records carry enough of
+    the outcome (value, cost, timing) that byte-comparing them catches
+    any replay divergence in decision, ordering, scheduling, or timing.
     """
-    return [
-        TraceEvent(
-            time=record.turnaround,
-            kind=DECIDE,
-            task_id=record.task_id,
-            detail={
-                "value": record.value,
-                "correct": record.correct,
-                "jobs_used": record.jobs_used,
-                "waves": record.waves,
-                "response_time": record.response_time,
-            },
-        )
-        for record in report.records
-    ]
+    return [f"task={record.task_id} [{_attrs(asdict(record))}]" for record in report.records]
 
 
 def grid_runner(config: GridConfig) -> Runner:
@@ -237,7 +236,7 @@ def grid_runner(config: GridConfig) -> Runner:
 
     def run() -> RunCapture:
         report = run_grid(copy.deepcopy(config))
-        return _record_events(report), report.as_dict()
+        return _record_lines(report), report.as_dict()
 
     return run
 
@@ -277,7 +276,7 @@ def mapreduce_runner(
         metrics["correct"] = report.correct
         metrics["corrupted_chunks"] = report.corrupted_chunks
         metrics["output"] = dict(report.output)
-        return _record_events(report.map_report), metrics
+        return _record_lines(report.map_report), metrics
 
     return run
 

@@ -9,7 +9,7 @@ records into:
   on *simulated* time, with the zero-cost :class:`NullRecorder` default
   and the buffering :class:`TelemetryRecorder`;
 * :mod:`repro.obs.export` -- JSONL, Chrome trace-event JSON (Perfetto),
-  and Prometheus text exposition;
+  Prometheus text exposition, and per-task text timelines;
 * :mod:`repro.obs.capture` / :mod:`repro.obs.context` -- saved run
   captures, diffing, and the parent-side ``--telemetry`` sink;
 * :mod:`repro.obs.host` -- the only module allowed to read the wall
@@ -24,6 +24,7 @@ telemetry is byte-identical to serial (``docs/observability.md``).
 from repro.obs.capture import Capture, diff_captures, format_diff
 from repro.obs.context import TelemetrySink, clear_sink, current_sink, install_sink
 from repro.obs.export import (
+    task_timeline,
     to_chrome_trace,
     to_chrome_trace_json,
     to_jsonl,
@@ -42,7 +43,6 @@ from repro.obs.recorder import (
     NullRecorder,
     Recorder,
     SpanRecord,
-    TeeRecorder,
     TelemetryRecorder,
     active,
 )
@@ -58,7 +58,6 @@ __all__ = [
     "NullRecorder",
     "Recorder",
     "SpanRecord",
-    "TeeRecorder",
     "TelemetryRecorder",
     "TelemetrySink",
     "active",
@@ -68,6 +67,7 @@ __all__ = [
     "format_diff",
     "install_sink",
     "merge_snapshots",
+    "task_timeline",
     "to_chrome_trace",
     "to_chrome_trace_json",
     "to_jsonl",

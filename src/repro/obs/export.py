@@ -15,13 +15,16 @@ are byte-identical too.
 * **Prometheus text exposition** -- counters/gauges/histograms with
   ``# HELP``/``# TYPE`` headers, cumulative ``_bucket{le=...}`` series,
   and metric names sanitized to the Prometheus grammar.
+
+:func:`task_timeline` renders one DES task's spans and events as text,
+from a capture or straight from :meth:`TelemetryRecorder.as_payload`.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.capture import Capture
 
@@ -184,6 +187,41 @@ def to_prometheus(capture: Capture) -> str:
     return "\n".join(lines) + "\n"
 
 
+def task_timeline(
+    spans: Sequence[Mapping[str, Any]],
+    events: Sequence[Mapping[str, Any]],
+    task_id: int,
+) -> str:
+    """One task's spans and events as text, in time order.
+
+    ``spans`` and ``events`` are record dicts as held by
+    :meth:`~repro.obs.recorder.TelemetryRecorder.as_payload` and by a
+    :class:`Capture`; a record belongs to the task when its ``task``
+    attribute is ``task_id``.  Each span is one line at its start that
+    also gives its end.  At equal times events come first (a decide
+    precedes the jobs it dispatches), then spans longest first, and of
+    spans with equal start and end the one closed last: an enclosing
+    span closes after what it encloses, so the ``dca.task`` span heads
+    its own timeline.
+    """
+    rows = []
+    for event in events:
+        attrs = event.get("attrs", {})
+        if attrs.get("task") == task_id:
+            rows.append((event["time"], (0, 0.0), event["name"], attrs))
+    for span in reversed(spans):
+        attrs = span.get("attrs", {})
+        if attrs.get("task") == task_id:
+            label = f"{span['name']} until t={span['end']:.4f}"
+            rows.append((span["start"], (1, -span["end"]), label, attrs))
+    rows.sort(key=lambda row: row[:2])
+    lines = [f"task {task_id}"]
+    for time, _, label, attrs in rows:
+        detail = " ".join(f"{key}={attrs[key]}" for key in sorted(attrs) if key != "task")
+        lines.append(f"  t={time:10.4f}  {label} {detail}".rstrip())
+    return "\n".join(lines)
+
+
 #: Exporter registry for the CLI: format name -> renderer.
 EXPORTERS = {
     "jsonl": to_jsonl,
@@ -194,6 +232,7 @@ EXPORTERS = {
 
 __all__ = [
     "EXPORTERS",
+    "task_timeline",
     "to_chrome_trace",
     "to_chrome_trace_json",
     "to_jsonl",

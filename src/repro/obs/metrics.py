@@ -12,9 +12,8 @@ envelopes without breaking the parallel engine's byte-identity contract:
   semantics, which is also order-independent) -- so merging ``jobs=4``
   worker snapshots equals merging the same snapshots serially.
 
-Distinct from :mod:`repro.sim.metrics` (per-simulation statistical
-collectors): this registry is the cross-run, exportable telemetry store
-behind :class:`repro.obs.recorder.TelemetryRecorder`.
+This registry is the cross-run, exportable telemetry store behind
+:class:`repro.obs.recorder.TelemetryRecorder`.
 """
 
 from __future__ import annotations

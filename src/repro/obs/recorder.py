@@ -232,46 +232,6 @@ class TelemetryRecorder(Recorder):
         }
 
 
-class TeeRecorder(Recorder):
-    """Forward every call to several recorders (disabled ones dropped)."""
-
-    def __init__(self, *recorders: Optional[Recorder]) -> None:
-        self.recorders: Tuple[Recorder, ...] = tuple(
-            recorder
-            for recorder in recorders
-            if recorder is not None and recorder.enabled
-        )
-        self.enabled = bool(self.recorders)
-
-    @property
-    def keeps_spans(self) -> bool:  # type: ignore[override]
-        return any(recorder.keeps_spans for recorder in self.recorders)
-
-    def event(self, name: str, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
-        for recorder in self.recorders:
-            recorder.event(name, time, attrs)
-
-    def span_begin(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
-        for recorder in self.recorders:
-            recorder.span_begin(name, key, time, attrs)
-
-    def span_end(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
-        for recorder in self.recorders:
-            recorder.span_end(name, key, time, attrs)
-
-    def count(self, name: str, value: Number = 1, labels: Optional[Mapping[str, Any]] = None) -> None:
-        for recorder in self.recorders:
-            recorder.count(name, value, labels)
-
-    def gauge(self, name: str, value: Number, labels: Optional[Mapping[str, Any]] = None) -> None:
-        for recorder in self.recorders:
-            recorder.gauge(name, value, labels)
-
-    def observe(self, name: str, value: Number, labels: Optional[Mapping[str, Any]] = None) -> None:
-        for recorder in self.recorders:
-            recorder.observe(name, value, labels)
-
-
 def active(recorder: Optional[Recorder]) -> Optional[Recorder]:
     """Normalize: a disabled (or missing) recorder becomes ``None``.
 
@@ -288,7 +248,6 @@ __all__ = [
     "NullRecorder",
     "Recorder",
     "SpanRecord",
-    "TeeRecorder",
     "TelemetryRecorder",
     "active",
 ]

@@ -12,9 +12,10 @@ engine with the facilities the evaluation needs:
 * :class:`~repro.sim.rng.RngRegistry` -- named, independently seeded random
   streams so that simulated subsystems (node selection, job durations,
   failures, churn) draw from decoupled sequences and experiments are
-  reproducible,
-* :mod:`~repro.sim.metrics` -- counters, tallies, and time-weighted
-  statistics used to record the measures listed in Section 4.1 of the paper.
+  reproducible.
+
+The measures listed in Section 4.1 of the paper are recorded through
+:mod:`repro.obs` and the simulation reports, not by the engine itself.
 
 The engine is intentionally generic: :mod:`repro.dca` builds the paper's
 system model (Figure 1) on top of it and :mod:`repro.volunteer` builds the
@@ -33,23 +34,13 @@ from repro.sim.streams import (
     SPOT_CHECKS,
     StreamLabel,
 )
-from repro.sim.metrics import (
-    Counter,
-    Histogram,
-    MetricSet,
-    Tally,
-    TimeWeightedStat,
-)
 
 __all__ = [
     "CHURN",
-    "Counter",
     "DURATIONS",
     "Event",
     "EventQueue",
     "FAILURES",
-    "Histogram",
-    "MetricSet",
     "NODE_SELECTION",
     "Process",
     "RngRegistry",
@@ -58,8 +49,6 @@ __all__ = [
     "Simulator",
     "StopSimulation",
     "StreamLabel",
-    "Tally",
     "Timeout",
-    "TimeWeightedStat",
     "Waiting",
 ]

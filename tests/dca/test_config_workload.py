@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import IterativeRedundancy, TraditionalRedundancy
 from repro.core.distributions import BetaReliability, FixedReliability
-from repro.dca import run_dca
+from repro.dca import run_columnar_dca, run_dca
 from repro.dca.config import DcaConfig
 from repro.dca.workload import Task, Workload
 
@@ -100,6 +100,27 @@ class TestDcaConfig:
         # NaN silently meant "no horizon"; inf ended with makespan inf.
         with pytest.raises(ValueError, match="max_time"):
             config(max_time=bad)
+
+    @pytest.mark.parametrize("engine", [run_dca, run_columnar_dca], ids=["des", "columnar"])
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            dict(duration_high=float("inf")),
+            dict(duration_high=float("nan")),
+            dict(duration_low=float("nan")),
+            dict(duration_low=float("inf"), duration_high=float("inf")),
+        ],
+        ids=["inf-high", "nan-high", "nan-low", "inf-both"],
+    )
+    def test_non_finite_duration_bounds_are_rejected(self, engine, bounds):
+        # An infinite high bound used to hang the DES in Simulator.schedule
+        # and overflow numpy's uniform draw in the columnar engine.
+        with pytest.raises(ValueError, match="duration_high < inf"):
+            engine(
+                DcaConfig(
+                    strategy=IterativeRedundancy(2), tasks=5, nodes=5, seed=1, **bounds
+                )
+            )
 
     def test_zero_max_time_stops_at_the_start(self):
         report = run_dca(config(max_time=0.0))

@@ -1,8 +1,18 @@
 # reprolint: disable-file=RL003 -- byte-exact golden comparisons are the point
-"""Golden same-seed trace fingerprints: the optimization contract.
+"""Golden same-seed digests: the optimization contract.
 
-These sha256 digests were captured from the pre-optimization engine (the
-PR-3 seed) and must never change: the hot-path optimizations -- tuple
+Each config pins two sha256 digests of one seeded DCA run:
+
+* the uncapped :class:`~repro.obs.TelemetryRecorder` payload
+  (``sha256(json.dumps(payload, sort_keys=True))``): every task and job
+  span with its attrs, every decide event, and the metric snapshot;
+* the full report (``DcaReport.to_json()``, per-task records included)
+  of the same run with *no* recorder attached.
+
+The first PR-3 goldens hashed a job-lifecycle trace log rendered from
+the pre-optimization engine.  These digests were taken from the last
+engine on which those trace goldens still passed, in the same session,
+so they pin the same behaviour.  The hot-path optimizations -- tuple
 heap keys, ``__slots__`` events, queue compaction, memoized confidence
 kernels, decision tables, hoisted lookups -- are all required to be
 *order-preserving*.  Any change to RNG draw order, event ordering, or
@@ -15,6 +25,7 @@ and a very good reason.)
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -23,29 +34,33 @@ from repro.core import (
     ProgressiveRedundancy,
     TraditionalRedundancy,
 )
-from repro.dca import DcaConfig
-from repro.lint.sanitizer import dca_runner, trace_fingerprint
+from repro.dca import DcaConfig, DcaSimulation, run_dca
+from repro.obs import TelemetryRecorder
 from repro.parallel import combined_fingerprint, dca_replicate_specs, run_dca_replicates
 
-#: (strategy factory, DcaConfig kwargs, pre-optimization sha256).
+#: (name, strategy factory, DcaConfig kwargs, recorder payload sha256,
+#: no-recorder report sha256).
 GOLDENS = [
     (
         "iterative_d3",
         lambda: IterativeRedundancy(3),
         dict(tasks=60, nodes=25, reliability=0.7, seed=1234),
-        "ed98c36d14c2ca0560fd760e9298d78fac3364cc6b48ba30cac21444e7991c6e",
+        "95f64d5f8e59d267931a54726937f095ca52c0080a32bb0a867cc569893486f6",
+        "6e787d9eebc179d726f9aa120b4cd05357dd3e05d1f06d435670807cf047b198",
     ),
     (
         "progressive_k7",
         lambda: ProgressiveRedundancy(7),
         dict(tasks=60, nodes=25, reliability=0.7, seed=1234),
-        "0d7ed8e8ebc0983fbb1669474c0fce9efc892162943c8933f3dc548efbf935a6",
+        "9a07de783858414d811a132e9fc6d660f5d1366ef26ebcb27e62b6abf90bc1d8",
+        "f98237220b9b3ea94bd7c561faddfb27ccc1534fd487872c0dc2847097b5d19c",
     ),
     (
         "traditional_k5",
         lambda: TraditionalRedundancy(5),
         dict(tasks=60, nodes=25, reliability=0.7, seed=1234),
-        "35b127eeeaa038f783440ea407385028a6ca47f5f53b396119d3c39e8047eef8",
+        "ace3a31a25bb24ea5fdc7097faf8adb79a19c65067a1ef10e02ced216b57bdb3",
+        "56fb0158ccaabf898787a99d134659538fa81c63170fb48f064e5c876658cf28",
     ),
     (
         # Churn + silent nodes: exercises cancellation, compaction, and
@@ -61,36 +76,52 @@ GOLDENS = [
             departure_rate=0.5,
             unresponsive_prob=0.1,
         ),
-        "e25de6eedcecb605fa4afa1c13a00691050366d436fead2e3b70fe7da6d12b34",
+        "8c7c26f6cd7e663e46cffd7e12d3214ba2c903a26ffe4332de0e69c91a9fcd26",
+        "ef24ea9da0052846ecb132184ca4d7470202d6961a0b9c8ad98d314c68ba32b1",
     ),
 ]
 
 
-def _trace_digest(factory, config_kwargs) -> str:
-    events, _metrics = dca_runner(DcaConfig(strategy=factory(), **config_kwargs))()
-    return hashlib.sha256(trace_fingerprint(events).encode()).hexdigest()
+def payload_digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def recorded_digest(factory, config_kwargs) -> str:
+    """The uncapped recorder payload digest of one run."""
+    recorder = TelemetryRecorder()
+    DcaSimulation(DcaConfig(strategy=factory(), **config_kwargs), recorder=recorder).run()
+    return payload_digest(recorder.as_payload())
+
+
+def report_digest(factory, config_kwargs, recorder=None) -> str:
+    """The full report digest of one run (no recorder by default)."""
+    report = run_dca(DcaConfig(strategy=factory(), **config_kwargs), recorder=recorder)
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
-    "name,factory,config_kwargs,expected",
+    "name,factory,config_kwargs,recorded,bare",
     GOLDENS,
     ids=[g[0] for g in GOLDENS],
 )
 def test_trace_fingerprint_matches_pre_optimization_golden(
-    name, factory, config_kwargs, expected
+    name, factory, config_kwargs, recorded, bare
 ):
-    assert _trace_digest(factory, config_kwargs) == expected, (
-        f"{name}: same-seed trace diverged from the pre-optimization "
+    assert recorded_digest(factory, config_kwargs) == recorded, (
+        f"{name}: same-seed recorder stream diverged from the golden "
         "engine -- an optimization changed simulation behaviour"
+    )
+    assert report_digest(factory, config_kwargs) == bare, (
+        f"{name}: same-seed report diverged from the golden engine"
     )
 
 
 def test_goldens_are_deterministic():
-    """The digest itself is reproducible back to back in one process."""
-    name, factory, config_kwargs, expected = GOLDENS[0]
-    del name
-    assert _trace_digest(factory, config_kwargs) == expected
-    assert _trace_digest(factory, config_kwargs) == expected
+    """The digests are reproducible back to back in one process."""
+    _, factory, config_kwargs, recorded, bare = GOLDENS[0]
+    for _ in range(2):
+        assert recorded_digest(factory, config_kwargs) == recorded
+        assert report_digest(factory, config_kwargs) == bare
 
 
 def test_parallel_replication_still_matches_serial():

@@ -14,9 +14,8 @@ recorded byte:
 * churn, and churn under a ``max_time`` horizon, which leaves spans
   open when the run stops;
 * spot checks and silent nodes, which drive the spot-check and timeout
-  counters;
-* a node-aware strategy (credibility with spot checks);
-* a legacy :class:`~repro.dca.tracing.TraceLog` teed onto the recorder.
+  counters, and spot checks under span/event caps;
+* a node-aware strategy (credibility with spot checks).
 
 Every scenario runs on both event queues, which must record the same
 bytes.
@@ -36,7 +35,6 @@ from repro.core import (
 )
 from repro.dca import DcaConfig
 from repro.dca.simulation import DcaSimulation
-from repro.dca.tracing import TraceLog, instrument_server
 from repro.obs import TelemetryRecorder
 from repro.sim.events import QUEUE_KINDS
 
@@ -49,15 +47,14 @@ def _credibility():
 
 
 #: (scenario, strategy factory, DcaConfig overrides, recorder caps,
-#: tee a TraceLog, payload digest, a check that the run really takes
-#: the path the scenario is named for).
+#: payload digest, a check that the run really takes the path the
+#: scenario is named for).
 PINNED = [
     (
         "tr",
         lambda: TraditionalRedundancy(5),
         {},
         {},
-        False,
         "4492131f7db5f4fc7d421cc40e50ca99c5a7a9f4d135cb168e2a09cdfad1c0cd",
         lambda payload: payload["dropped_spans"] == 0,
     ),
@@ -66,7 +63,6 @@ PINNED = [
         lambda: ProgressiveRedundancy(5),
         {},
         {},
-        False,
         "ad538b3872e41b1faba8e33faeac0e70d1245266562c4c4725703408bca5fb1b",
         lambda payload: payload["dropped_spans"] == 0,
     ),
@@ -75,7 +71,6 @@ PINNED = [
         lambda: IterativeRedundancy(3),
         {},
         {},
-        False,
         "5d569b243c10080bbae840c28d2fcb059ee1365d12210449edbd06c279c340de",
         lambda payload: payload["dropped_spans"] == 0,
     ),
@@ -84,7 +79,6 @@ PINNED = [
         lambda: TraditionalRedundancy(5),
         {},
         _CAPS,
-        False,
         "a93fdc498bcc7a96aae4789a3038dd948050a729284913e8473e6b5ff813dcc2",
         lambda payload: payload["dropped_spans"] > 0 and payload["dropped_events"] == 0,
     ),
@@ -93,7 +87,6 @@ PINNED = [
         lambda: ProgressiveRedundancy(5),
         {},
         _CAPS,
-        False,
         "c3113f7a60fe5cfbd6a5166d114be9f2ea22abb6c44ea561392afbcf0f0bd3ae",
         lambda payload: payload["dropped_spans"] > 0 and payload["dropped_events"] > 0,
     ),
@@ -102,7 +95,6 @@ PINNED = [
         lambda: IterativeRedundancy(3),
         {},
         _CAPS,
-        False,
         "c5e8f14714bd54b0292381d2c1be5fb447ce577119dc9bb3614faa5e838fee4a",
         lambda payload: payload["dropped_spans"] > 0 and payload["dropped_events"] > 0,
     ),
@@ -111,7 +103,6 @@ PINNED = [
         lambda: IterativeRedundancy(2),
         _CHURN,
         {},
-        False,
         "625a99edb91de0189aa68e16b7b4d57166bd8638886d2b24ef4bcb588c7f4093",
         lambda payload: "dca.timeout" in payload["metrics"],
     ),
@@ -120,7 +111,6 @@ PINNED = [
         lambda: IterativeRedundancy(2),
         dict(_CHURN, max_time=20.0),
         {},
-        False,
         "2770cd6f4199d7b0079c687740a8c8683d006125be217a632a8f671da7649756",
         lambda payload: payload["open_spans"] > 0,
     ),
@@ -129,7 +119,6 @@ PINNED = [
         lambda: IterativeRedundancy(2),
         dict(_CHURN, max_time=20.0),
         _CAPS,
-        False,
         "57ab3e9ad76c47131018060bcbf1c5b6900fcadbfa20d8cb1b0794fb6083eb1d",
         lambda payload: payload["open_spans"] > 0 and payload["dropped_spans"] > 0,
     ),
@@ -138,7 +127,6 @@ PINNED = [
         lambda: IterativeRedundancy(2),
         dict(spot_check_rate=0.15),
         {},
-        False,
         "be468d24e1a3e585190f98c3cfa3d201d18db3a65f38e1da28080494d7111f9c",
         lambda payload: "dca.spot_check" in payload["metrics"],
     ),
@@ -147,7 +135,6 @@ PINNED = [
         lambda: IterativeRedundancy(2),
         dict(unresponsive_prob=0.15),
         {},
-        False,
         "f6b0d12e90b2a72122fc23152471605ebb011bc21ad3ff3158f1ccda64f982f7",
         lambda payload: "dca.timeout" in payload["metrics"],
     ),
@@ -156,23 +143,21 @@ PINNED = [
         _credibility,
         dict(spot_check_rate=0.1),
         {},
-        False,
         "7bb5623c68e2e4924571aa6c8703ccce6c77a0aeeed95509030fa33514f345dd",
         lambda payload: "dca.spot_check" in payload["metrics"],
     ),
     (
-        "tee",
+        "ir_spot_checks_capped",
         lambda: IterativeRedundancy(3),
         dict(spot_check_rate=0.15),
         _CAPS,
-        True,
         "958195ca25efc7fdc06818b36cf1f8f15f673e62c0f3234906de0fb02e468ad8",
         lambda payload: payload["dropped_spans"] > 0,
     ),
 ]
 
 
-def recorded_payload(factory, overrides, caps, tee, queue):
+def recorded_payload(factory, overrides, caps, queue):
     """The recorder payload of one small seeded run."""
     recorder = TelemetryRecorder(**caps)
     config = DcaConfig(
@@ -184,12 +169,7 @@ def recorded_payload(factory, overrides, caps, tee, queue):
         queue=queue,
         **overrides,
     )
-    simulation = DcaSimulation(config, recorder=recorder)
-    if tee:
-        log = instrument_server(simulation.server, TraceLog())
-    simulation.run()
-    if tee:
-        assert len(log) > 0
+    DcaSimulation(config, recorder=recorder).run()
     return recorder.as_payload()
 
 
@@ -199,13 +179,13 @@ def payload_digest(payload) -> str:
 
 @pytest.mark.parametrize("queue", QUEUE_KINDS)
 @pytest.mark.parametrize(
-    "name,factory,overrides,caps,tee,expected,takes_path",
+    "name,factory,overrides,caps,expected,takes_path",
     PINNED,
     ids=[entry[0] for entry in PINNED],
 )
 def test_payload_matches_pinned_digest(
-    name, factory, overrides, caps, tee, expected, takes_path, queue
+    name, factory, overrides, caps, expected, takes_path, queue
 ):
-    payload = recorded_payload(factory, overrides, caps, tee, queue)
+    payload = recorded_payload(factory, overrides, caps, queue)
     assert takes_path(payload)
     assert payload_digest(payload) == expected

@@ -1,8 +1,8 @@
-"""Recorder contract: null/tee normalization, buffering, caps."""
+"""Recorder contract: null normalization, buffering, caps."""
 
 import pytest
 
-from repro.obs import NullRecorder, Recorder, TeeRecorder, TelemetryRecorder, active
+from repro.obs import NullRecorder, Recorder, TelemetryRecorder, active
 
 
 class TestActive:
@@ -15,9 +15,6 @@ class TestActive:
     def test_enabled_recorder_passes_through(self):
         recorder = TelemetryRecorder()
         assert active(recorder) is recorder
-
-    def test_empty_tee_normalizes_to_none(self):
-        assert active(TeeRecorder(NullRecorder(), None)) is None
 
 
 class TestNullRecorder:
@@ -172,23 +169,7 @@ class TestTelemetryRecorder:
         assert payload["events"][0]["attrs"] == {"k": "v"}
 
 
-class TestTeeRecorder:
-    def test_forwards_to_all_enabled_recorders(self):
-        a, b = TelemetryRecorder(), TelemetryRecorder()
-        tee = TeeRecorder(a, NullRecorder(), b)
-        assert tee.enabled
-        tee.count("c", 2)
-        tee.event("e", 1.0)
-        assert a.registry.counter("c").value() == 2
-        assert b.registry.counter("c").value() == 2
-        assert len(a.events) == len(b.events) == 1
-
-    def test_keeps_spans_while_any_recorder_does(self):
-        capped, uncapped = TelemetryRecorder(max_spans=0), TelemetryRecorder()
-        assert TeeRecorder(capped, uncapped).keeps_spans
-        assert not TeeRecorder(capped, TelemetryRecorder(max_spans=0)).keeps_spans
-        assert Recorder().keeps_spans
-
+class TestBaseRecorder:
     def test_base_recorder_interface_is_noop(self):
         # The abstract base must be safe to call: adapters may override
         # only a subset of hooks.
@@ -196,3 +177,4 @@ class TestTeeRecorder:
         recorder.count("c")
         recorder.event("e", 0.0)
         assert recorder.enabled is False
+        assert recorder.keeps_spans

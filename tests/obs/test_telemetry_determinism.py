@@ -3,24 +3,20 @@
 
 Three pins:
 
-* recording on vs off leaves the same-seed DCA trace byte-identical
-  (checked against the pre-optimization golden digests);
+* recording off, uncapped, or capped leaves the same-seed DCA report
+  byte-identical (checked against the golden no-recorder digests);
 * replicate metrics and fingerprints are unchanged by telemetry;
 * position-merged telemetry is byte-identical for ``jobs=4`` and
   ``jobs=1`` runs of the same specs.
 """
 
-import copy
 import hashlib
 import json
 
 import pytest
 
 from repro.core import IterativeRedundancy, TraditionalRedundancy
-from repro.dca import DcaConfig
-from repro.dca.simulation import DcaSimulation
-from repro.dca.tracing import TraceLog, instrument_server
-from repro.lint.sanitizer import trace_fingerprint
+from repro.dca import DcaConfig, run_dca
 from repro.obs import TelemetryRecorder, TelemetrySink, clear_sink, install_sink
 from repro.parallel import (
     dca_replicate_specs,
@@ -28,36 +24,39 @@ from repro.parallel import (
     run_dca_replicates,
 )
 
-#: Mirrors two goldens from tests/lint/test_golden_fingerprints.py; if
-#: those digests are ever (deliberately) refreshed, refresh these too.
+#: Mirrors two goldens (recorder payload digest, no-recorder report
+#: digest) from tests/lint/test_golden_fingerprints.py; if those digests
+#: are ever (deliberately) refreshed, refresh these too.
 GOLDENS = [
     (
         lambda: IterativeRedundancy(3),
         dict(tasks=60, nodes=25, reliability=0.7, seed=1234),
-        "ed98c36d14c2ca0560fd760e9298d78fac3364cc6b48ba30cac21444e7991c6e",
+        "95f64d5f8e59d267931a54726937f095ca52c0080a32bb0a867cc569893486f6",
+        "6e787d9eebc179d726f9aa120b4cd05357dd3e05d1f06d435670807cf047b198",
     ),
     (
         lambda: TraditionalRedundancy(5),
         dict(tasks=60, nodes=25, reliability=0.7, seed=1234),
-        "35b127eeeaa038f783440ea407385028a6ca47f5f53b396119d3c39e8047eef8",
+        "ace3a31a25bb24ea5fdc7097faf8adb79a19c65067a1ef10e02ced216b57bdb3",
+        "56fb0158ccaabf898787a99d134659538fa81c63170fb48f064e5c876658cf28",
     ),
 ]
 
 
-def _digest_with(factory, config_kwargs, recorder):
-    config = DcaConfig(strategy=factory(), **config_kwargs)
-    sim = DcaSimulation(copy.deepcopy(config), recorder=recorder)
-    log = instrument_server(sim.server, TraceLog())
-    sim.run()
-    return hashlib.sha256(trace_fingerprint(list(log)).encode()).hexdigest()
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("factory,config_kwargs,expected", GOLDENS)
+@pytest.mark.parametrize("factory,config_kwargs,recorded,bare", GOLDENS)
 def test_golden_trace_identical_with_recorder_on_and_off(
-    factory, config_kwargs, expected
+    factory, config_kwargs, recorded, bare
 ):
-    assert _digest_with(factory, config_kwargs, None) == expected
-    assert _digest_with(factory, config_kwargs, TelemetryRecorder()) == expected
+    uncapped, capped = TelemetryRecorder(), TelemetryRecorder(max_spans=3)
+    for recorder in (None, uncapped, capped):
+        report = run_dca(DcaConfig(strategy=factory(), **config_kwargs), recorder=recorder)
+        assert _sha256(report.to_json()) == bare
+    assert _sha256(json.dumps(uncapped.as_payload(), sort_keys=True)) == recorded
+    assert not capped.keeps_spans and capped.dropped_spans > 0
 
 
 def _specs(telemetry=False):
