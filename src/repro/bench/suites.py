@@ -156,8 +156,10 @@ def bench_dca_run(
 
 
 #: Maximum full-size median TelemetryRecorder/bare time ratio (the
-#: ``above_telemetry_ceiling`` gate; see ``docs/performance.md``).
-TELEMETRY_RATIO_CEILING = 2.2
+#: ``above_telemetry_ceiling`` gate): the slowest of ten full-size runs
+#: plus 0.30, re-derived whenever the recorder gets cheaper and never
+#: raised (see ``docs/performance.md``).
+TELEMETRY_RATIO_CEILING = 2.02
 
 
 @_suite

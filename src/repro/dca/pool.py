@@ -101,12 +101,19 @@ class NodePool:
     def acquire_random(self, rng: random.Random) -> Optional[Node]:
         """Pick a uniformly random available node and mark it busy."""
         available = self._available
-        if not available:
+        count = len(available)
+        if not count:
             return None
-        # choice() draws exactly what randrange(len(available)) would
-        # (both are _randbelow(len)), one call shallower; the node then
-        # gives its own slot to the swap-remove of _remove_available.
-        node = rng.choice(available)
+        # choice()'s draw without its two frames: _randbelow's rejection
+        # loop over getrandbits(count.bit_length()), the same draws
+        # choice() and randrange(count) take.  The node then gives its own
+        # slot to the swap-remove of _remove_available.
+        getrandbits = rng.getrandbits
+        bits = count.bit_length()
+        index = getrandbits(bits)
+        while index >= count:
+            index = getrandbits(bits)
+        node = available[index]
         last = available.pop()
         if last is not node:
             available[node.slot] = last

@@ -41,9 +41,9 @@ from repro.obs.names import (
     DCA_WAVE_SIZE,
 )
 from repro.obs.recorder import active
-from repro.sim.engine import Simulator, StopSimulation
+from repro.sim.engine import Simulator, StopSimulation, schedule_error
+from repro.sim.events import DEFAULT_PRIORITY, Event
 from repro.sim.streams import DURATIONS, FAILURES, NODE_SELECTION, SPOT_CHECKS
-from repro.sim.events import Event
 from repro.dca.workload import Task
 
 
@@ -68,31 +68,46 @@ class _TaskState:
         self.done = False
 
 
-class _Job:
-    """A dispatched job, built once its node is acquired.
+class _Job(Event):
+    """A dispatched job, built once its node is acquired: its own event.
 
-    At most one of its events is queued at a time, and the job holds no
-    handle to it, so a finished job and its events form no cycle and
-    reference counting frees them.
+    A job is queued as one event at a time -- its completion or its
+    deadline, then, if its node left mid-job, the deadline re-queued in
+    place, keeping the job's ``seq``.  Its callback is a module function
+    that reaches the server through :attr:`server`: a bound method would
+    cost an allocation per job, and one kept on the server would tie it
+    in a cycle with itself.  A job references its server only while it
+    is queued or firing, so a finished job forms no cycle and reference
+    counting frees it.
     """
 
-    __slots__ = ("state", "node", "assigned_at", "value", "deadline_seq")
+    __slots__ = ("server", "state", "node", "assigned_at", "value")
 
     def __init__(
         self,
+        time: float,
+        callback: Callable[["_Job"], None],
+        server: "TaskServer",
         state: Optional[_TaskState],
         node: Node,
         assigned_at: float,
         value=None,
-        deadline_seq: int = -1,
     ) -> None:
+        # Event's fields without its __init__ frame; seq -1 takes the
+        # queue's next number on insert.
+        self.time = time
+        self.priority = DEFAULT_PRIORITY
+        self.seq = -1
+        self.callback = callback
+        self.payload = None
+        self.cancelled = False
+        self.fired = False
+        self.server = server
         self.state = state  # None for spot-check jobs
         self.node = node
         self.assigned_at = assigned_at
         #: The reported value, kept only when the completion is queued.
         self.value = value
-        #: Event-order place reserved for a deadline not yet pushed.
-        self.deadline_seq = deadline_seq
 
 
 class TaskServer:
@@ -169,9 +184,14 @@ class TaskServer:
         self._acquire = pool.acquire_random
         self._release = pool.release
         self._available = pool.available_nodes
+        self._insert = sim.queue.insert
 
         self._recorder = active(sim.recorder)
         self._strategy_label = strategy.describe() if self._recorder is not None else ""
+        #: Wave sizes, first and follow-up, kept only while recording:
+        #: with the task records they are the run totals of record_totals.
+        self._first_waves: List[int] = []
+        self._followup_waves: List[int] = []
 
     # ------------------------------------------------------------------
     # Public API
@@ -182,25 +202,46 @@ class TaskServer:
         return self._remaining
 
     def record_totals(self) -> None:
-        """Record the run's job counters (``dca.dispatch``,
-        ``dca.complete``, ``dca.timeout``, ``dca.spot_check``) as totals.
+        """Record the run's job and task telemetry as run totals.
 
-        The server tallies jobs as plain integers and records each
-        counter once, after the run loop, rather than once per job; a
-        zero total records nothing, so a counter that never fired stays
-        absent.  Call it once per run.
+        The job counters (``dca.dispatch``, ``dca.complete``,
+        ``dca.timeout``, ``dca.spot_check``), the task counters
+        (``dca.accept`` and the labelled ``dca.decisions``) and the task
+        histograms (``dca.wave_size{followup}``, ``dca.response_time``,
+        ``dca.jobs_per_task``) are tallied as plain integers and lists
+        during the run and recorded once, after the run loop, rather
+        than once per job or task.  Histogram values go through
+        :meth:`~repro.obs.recorder.Recorder.observe_many` in the order
+        they arose, so bins and sums equal per-task observes bit for bit.
+        A zero total records nothing, so a metric that never fired stays
+        absent.  Call it once per run; a run that raises never gets here
+        and records none of these (``dca.submit`` is still per call).
         """
         rec = self._recorder
         if rec is None:
             return
+        records = self.records
         for name, total in (
             (DCA_DISPATCHES, self.total_jobs_dispatched),
             (DCA_COMPLETES, self.jobs_completed),
             (DCA_TIMEOUTS, self.jobs_timed_out),
             (DCA_SPOT_CHECKS, self.spot_checks_issued),
+            (DCA_ACCEPTS, len(records)),
         ):
             if total:
                 rec.count(name, total)
+        # One follow-up wave per "extend" decision, one record per accept.
+        for outcome, total in (("extend", len(self._followup_waves)), ("accept", len(records))):
+            if total:
+                rec.count(
+                    DCA_DECISIONS,
+                    total,
+                    labels={"strategy": self._strategy_label, "outcome": outcome},
+                )
+        rec.observe_many(DCA_WAVE_SIZE, self._first_waves, labels={"followup": False})
+        rec.observe_many(DCA_WAVE_SIZE, self._followup_waves, labels={"followup": True})
+        rec.observe_many(DCA_RESPONSE_TIME, [record.response_time for record in records])
+        rec.observe_many(DCA_JOBS_PER_TASK, [record.jobs_used for record in records])
 
     def submit(self, task: Task) -> None:
         """Accept a task and enqueue its first wave of jobs."""
@@ -223,7 +264,7 @@ class TaskServer:
 
         Each assignment is one loop iteration, with no call of its own:
         take a node, maybe divert it to a spot-check, draw the job's
-        report and duration, and queue its first event.
+        report and duration, and queue the job as its first event.
         """
         available = self._available
         if not available:
@@ -231,9 +272,9 @@ class TaskServer:
         queue = self._queue
         followups = self._followup_queue
         prioritize = self.prioritize_followups
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         rec = self._recorder
+        timeout = self.timeout
         # Spot-checks divert assignments whenever a rate is set -- with a
         # credibility manager the outcomes feed its reputation tallies;
         # without one they are pure overhead (the DcaConfig contract).
@@ -287,122 +328,32 @@ class TaskServer:
             # deadline would lose to it (a tie goes to the deadline, which
             # takes the lower seq): either way the deadline is the job's
             # one event.  Otherwise the completion fires first, and the
-            # deadline matters only if the node leaves mid-job, so its
-            # place in the event order is reserved -- ahead of the
-            # completion's, as if both were pushed -- and _complete_fired
-            # pushes it there then.
+            # deadline matters only if the node leaves mid-job; then
+            # _complete_fired re-queues the job as its deadline under the
+            # completion's seq.  Had both been pushed, deadline first,
+            # their seqs would be adjacent, so no other event sorts
+            # between the two places: the order is the same.
             completes_at = now + duration
-            deadline_at = now + self.timeout
+            deadline_at = now + timeout
             if value is None or completes_at >= deadline_at:
-                sim.schedule(deadline_at, self._deadline_fired, payload=_Job(state, node, now))
+                job = _Job(deadline_at, _deadline_fired, self, state, node, now)
             else:
-                # The deadline's place is reserved before the completion
-                # takes the next one.
-                sim.schedule(
-                    completes_at,
-                    self._complete_fired,
-                    payload=_Job(state, node, now, value, sim.reserve()),
-                )
+                job = _Job(completes_at, _complete_fired, self, state, node, now, value)
+            # Simulator.schedule's guard: NaN fails it as well as the past.
+            if not job.time >= now:
+                raise schedule_error(job.time, now)
+            self._insert(job)
 
     # ------------------------------------------------------------------
     # Dispatch machinery
     # ------------------------------------------------------------------
 
     def _enqueue_jobs(self, state: _TaskState, count: int, *, followup: bool = False) -> None:
-        rec = self._recorder
-        if rec is not None:
-            rec.observe(DCA_WAVE_SIZE, count, labels={"followup": followup})
+        if self._recorder is not None:
+            (self._followup_waves if followup else self._first_waves).append(count)
         state.vote.dispatched(count)
         target = self._followup_queue if followup else self._queue
         target.extend([state] * count)
-        self.pump()
-
-    def _complete_fired(self, event: Event) -> None:
-        job: _Job = event.payload
-        node = job.node
-        if not node.alive:
-            # The node quit mid-job; its result is lost.  The deadline
-            # will fold the silence into the vote, at the time and in the
-            # order it would have fired had it been queued all along.
-            self.sim.schedule(
-                job.assigned_at + self.timeout,
-                self._deadline_fired,
-                payload=job,
-                seq=job.deadline_seq,
-            )
-            return
-        value = job.value
-        state = job.state
-        rec = self._recorder
-        if rec is not None:
-            # Before the vote folds in, so the completion precedes any
-            # accept it causes (and survives StopSimulation downstream).
-            rec.span_end(
-                DCA_JOB_SPAN,
-                node.node_id,
-                self.sim.now,
-                {
-                    "task": state.task.task_id if state is not None else -1,
-                    "node": node.node_id,
-                    "value": value,
-                    "outcome": "complete",
-                }
-                if rec.keeps_spans
-                else None,
-            )
-        self.jobs_completed += 1
-        self._release(node)
-        if state is None:
-            self._finish_spot_check(node, value)
-        else:
-            node.jobs_completed += 1
-            # The vote fold of _record_timeout, inline on the hot path.
-            if not state.done:
-                vote = state.vote
-                vote.record_value(value)
-                state.jobs_used += 1
-                if self._node_aware:
-                    self.strategy.record_outcome(
-                        state.task.task_id,
-                        JobOutcome(
-                            value=value,
-                            node_id=node.node_id,
-                            elapsed=self.sim.now - job.assigned_at,
-                        ),
-                    )
-                if vote.outstanding == 0:
-                    self._decide(state)
-        self.pump()
-
-    def _deadline_fired(self, event: Event) -> None:
-        job: _Job = event.payload
-        node = job.node
-        rec = self._recorder
-        if rec is not None:
-            rec.span_end(
-                DCA_JOB_SPAN,
-                node.node_id,
-                self.sim.now,
-                {
-                    "task": job.state.task.task_id if job.state is not None else -1,
-                    "node": node.node_id,
-                    "outcome": "timeout",
-                }
-                if rec.keeps_spans
-                else None,
-            )
-        self.jobs_timed_out += 1
-        node.jobs_failed += 1
-        # The node either died or hung; if it is still nominally alive
-        # we return it to the pool (it "recovers"), mirroring flaky
-        # volunteers that stay registered.
-        if node.alive:
-            self._release(node)
-        if job.state is None:
-            if self._credibility_manager is not None:
-                self._credibility_manager.spot_check(node.node_id, passed=False)
-        else:
-            self._record_timeout(job)
         self.pump()
 
     def _finish_spot_check(self, node: Node, value) -> None:
@@ -418,7 +369,7 @@ class TaskServer:
         """Fold a timed-out job's ``None`` into its vote.
 
         A completed job's value is folded the same way, inline in
-        :meth:`_complete_fired`.
+        :func:`_complete_fired`.
         """
         state = job.state
         assert state is not None
@@ -449,10 +400,6 @@ class TaskServer:
                     self.sim.now,
                     {"task": state.task.task_id, "outstanding_more": state.vote.outstanding},
                 )
-                rec.count(
-                    DCA_DECISIONS,
-                    labels={"strategy": self._strategy_label, "outcome": "extend"},
-                )
             return
         state.done = True
         now = self.sim.now
@@ -473,13 +420,6 @@ class TaskServer:
                 now,
                 {"task": state.task.task_id, "jobs": state.jobs_used, "waves": state.waves},
             )
-            rec.count(DCA_ACCEPTS)
-            rec.count(
-                DCA_DECISIONS,
-                labels={"strategy": self._strategy_label, "outcome": "accept"},
-            )
-            rec.observe(DCA_RESPONSE_TIME, record.response_time)
-            rec.observe(DCA_JOBS_PER_TASK, state.jobs_used)
         if self._node_aware:
             self.strategy.task_finished(
                 state.task.task_id,
@@ -497,3 +437,101 @@ class TaskServer:
 
 #: Ground-truth task used for spot-check jobs: the server knows the answer.
 _SPOT_CHECK_TASK = Task(task_id=-1, true_value=True, wrong_value=False)
+
+
+# The job callbacks: module functions, not methods (see _Job).  They are
+# the server's, so they use its private state freely.
+
+
+def _complete_fired(job: _Job) -> None:
+    """A job's completion fired: release the node, fold the value."""
+    server = job.server
+    node = job.node
+    if not node.alive:
+        # The node quit mid-job; its result is lost.  The job is
+        # re-queued as its deadline, keeping its seq (see pump), which
+        # folds the silence into the vote at the time and in the order
+        # it would have fired had it been queued all along.
+        deadline_at = job.assigned_at + server.timeout
+        if not deadline_at >= server.sim.now:
+            raise schedule_error(deadline_at, server.sim.now)
+        job.time = deadline_at
+        job.callback = _deadline_fired
+        job.fired = False
+        server._insert(job)
+        return
+    value = job.value
+    state = job.state
+    rec = server._recorder
+    if rec is not None:
+        # Before the vote folds in, so the completion precedes any
+        # accept it causes (and survives StopSimulation downstream).
+        rec.span_end(
+            DCA_JOB_SPAN,
+            node.node_id,
+            server.sim.now,
+            {
+                "task": state.task.task_id if state is not None else -1,
+                "node": node.node_id,
+                "value": value,
+                "outcome": "complete",
+            }
+            if rec.keeps_spans
+            else None,
+        )
+    server.jobs_completed += 1
+    server._release(node)
+    if state is None:
+        server._finish_spot_check(node, value)
+    else:
+        node.jobs_completed += 1
+        # The vote fold of _record_timeout, inline on the hot path.
+        if not state.done:
+            vote = state.vote
+            vote.record_value(value)
+            state.jobs_used += 1
+            if server._node_aware:
+                server.strategy.record_outcome(
+                    state.task.task_id,
+                    JobOutcome(
+                        value=value,
+                        node_id=node.node_id,
+                        elapsed=server.sim.now - job.assigned_at,
+                    ),
+                )
+            if vote.outstanding == 0:
+                server._decide(state)
+    server.pump()
+
+
+def _deadline_fired(job: _Job) -> None:
+    """A job's deadline fired: fold its silence as a timeout."""
+    server = job.server
+    node = job.node
+    rec = server._recorder
+    if rec is not None:
+        rec.span_end(
+            DCA_JOB_SPAN,
+            node.node_id,
+            server.sim.now,
+            {
+                "task": job.state.task.task_id if job.state is not None else -1,
+                "node": node.node_id,
+                "outcome": "timeout",
+            }
+            if rec.keeps_spans
+            else None,
+        )
+    server.jobs_timed_out += 1
+    node.jobs_failed += 1
+    # The node either died or hung; if it is still nominally alive
+    # we return it to the pool (it "recovers"), mirroring flaky
+    # volunteers that stay registered.
+    if node.alive:
+        server._release(node)
+    if job.state is None:
+        if server._credibility_manager is not None:
+            server._credibility_manager.spot_check(node.node_id, passed=False)
+    else:
+        server._record_timeout(job)
+    server.pump()

@@ -14,12 +14,17 @@ The contract with the hot paths (see ``docs/observability.md``):
 * Spans are keyed ``(name, key)``; begin/end pairs match on that key, so
   overlapping spans of the same name are fine as long as keys are unique
   among *open* spans (e.g. a node id: a node runs one job at a time).
+* A hot path may fold per-item histogram values into run totals and
+  record them once through :meth:`Recorder.observe_many`, which equals
+  the same values passed to :meth:`Recorder.observe` one by one.
 """
 
 from __future__ import annotations
 
+import numbers
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, DefaultDict, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import (
     CounterFamily,
@@ -65,6 +70,14 @@ class Recorder:
 
     def observe(self, name: str, value: Number, labels: Optional[Mapping[str, Any]] = None) -> None:
         """Record ``value`` into the histogram ``name``."""
+
+    def observe_many(
+        self, name: str, values: Sequence[Number], labels: Optional[Mapping[str, Any]] = None
+    ) -> None:
+        """Record each of ``values``, in order, as :meth:`observe` would.
+
+        An empty ``values`` records nothing, not even the histogram.
+        """
 
 
 class NullRecorder(Recorder):
@@ -129,10 +142,8 @@ class TelemetryRecorder(Recorder):
         max_spans: Optional[int] = None,
         max_events: Optional[int] = None,
     ) -> None:
-        if max_spans is not None and max_spans < 0:
-            raise ValueError(f"max_spans must be non-negative, got {max_spans}")
-        if max_events is not None and max_events < 0:
-            raise ValueError(f"max_events must be non-negative, got {max_events}")
+        check_limit("max_spans", max_spans)
+        check_limit("max_events", max_events)
         self._registry = MetricsRegistry()
         # Families resolved once per name (a family's kind never changes).
         self._counters: Dict[str, CounterFamily] = {}
@@ -140,8 +151,11 @@ class TelemetryRecorder(Recorder):
         self._histograms: Dict[str, HistogramFamily] = {}
         self._spans: List[SpanRecord] = []
         self._events: List[EventRecord] = []
-        #: Open spans: (start, begin attrs), or ``None`` if begun past the cap.
-        self._open: Dict[Tuple[str, Any], Optional[Tuple[float, Dict[str, Any]]]] = {}
+        #: Open spans, one table per span name: key -> (start, begin
+        #: attrs), or ``None`` if begun past the cap.
+        self._open: DefaultDict[str, Dict[Any, Optional[Tuple[float, Dict[str, Any]]]]] = (
+            defaultdict(dict)
+        )
         self._max_spans = max_spans
         self._max_events = max_events
         #: Records only grow, so this turns False for good at the cap.
@@ -159,12 +173,12 @@ class TelemetryRecorder(Recorder):
 
     def span_begin(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
         if self.keeps_spans:
-            self._open[(name, key)] = (time, dict(attrs) if attrs else {})
+            self._open[name][key] = (time, dict(attrs) if attrs else {})
         else:
-            self._open[(name, key)] = None
+            self._open[name][key] = None
 
     def span_end(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
-        opened = self._open.pop((name, key), None)
+        opened = self._open[name].pop(key, None)
         if not self.keeps_spans:
             self.dropped_spans += 1
             return
@@ -176,7 +190,7 @@ class TelemetryRecorder(Recorder):
         if attrs:
             merged.update(attrs)
         spans = self._spans
-        spans.append(SpanRecord(name, key, start, time, merged, unmatched=opened is None))
+        spans.append(SpanRecord(name, key, start, time, merged, opened is None))
         if len(spans) == self._max_spans:
             self.keeps_spans = False
 
@@ -198,6 +212,16 @@ class TelemetryRecorder(Recorder):
             family = self._histograms[name] = self._registry.histogram(name)
         family.observe(value, labels)
 
+    def observe_many(
+        self, name: str, values: Sequence[Number], labels: Optional[Mapping[str, Any]] = None
+    ) -> None:
+        if not values:
+            return
+        family = self._histograms.get(name)
+        if family is None:
+            family = self._histograms[name] = self._registry.histogram(name)
+        family.observe_many(values, labels)
+
     # -- reading back ---------------------------------------------------
 
     @property
@@ -218,7 +242,7 @@ class TelemetryRecorder(Recorder):
     @property
     def open_spans(self) -> int:
         """Spans begun but not yet ended."""
-        return len(self._open)
+        return sum(map(len, self._open.values()))
 
     def as_payload(self) -> dict:
         """The picklable/JSON-ready form shipped in replicate envelopes."""
@@ -230,6 +254,23 @@ class TelemetryRecorder(Recorder):
             "dropped_spans": self.dropped_spans,
             "dropped_events": self.dropped_events,
         }
+
+
+def check_limit(name: str, value: Optional[int]) -> None:
+    """Reject a cap that is neither ``None`` nor a non-negative integer.
+
+    A float cap is silently wrong rather than approximate: a count never
+    equals 2.5, so that cap is never reached, and every comparison with
+    NaN is false.  ``True`` would act as 1.  So bools, non-integers and
+    negative values all raise.
+
+    Raises:
+        ValueError: for any other ``value``.
+    """
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0
+    ):
+        raise ValueError(f"{name} must be a non-negative integer or None, got {value!r}")
 
 
 def active(recorder: Optional[Recorder]) -> Optional[Recorder]:
@@ -250,4 +291,5 @@ __all__ = [
     "SpanRecord",
     "TelemetryRecorder",
     "active",
+    "check_limit",
 ]

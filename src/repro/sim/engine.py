@@ -11,11 +11,11 @@ Example:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from repro.obs.names import SIM_COMPACTIONS, SIM_EVENTS, SIM_HEAP_SIZE
-from repro.obs.recorder import Recorder, active
-from repro.sim.events import DEFAULT_PRIORITY, Event, make_queue
+from repro.obs.recorder import Recorder, active, check_limit
+from repro.sim.events import DEFAULT_PRIORITY, CalendarQueue, Event, EventQueue, make_queue
 from repro.sim.rng import RngRegistry
 
 
@@ -25,6 +25,19 @@ class SimulationError(RuntimeError):
 
 class StopSimulation(Exception):
     """Raise inside an event callback to halt the run loop immediately."""
+
+
+def schedule_error(time: float, now: float) -> SimulationError:
+    """The error for an event at ``time`` that fails ``time >= now``.
+
+    The guard itself is one comparison at each call site, which NaN
+    fails as well as the past; this builds the message only then.
+    """
+    if time != time:
+        return SimulationError("cannot schedule an event at a NaN time")
+    return SimulationError(
+        f"cannot schedule event at t={time} before current time t={now}"
+    )
 
 
 class Simulator:
@@ -94,16 +107,19 @@ class Simulator:
         """
         # One comparison on the hot path: NaN fails it as well as the past.
         if not time >= self.now:
-            if time != time:
-                raise SimulationError("cannot schedule an event at a NaN time")
-            raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self.now}"
-            )
+            raise schedule_error(time, self.now)
         return self._queue.push(time, callback, priority=priority, payload=payload, seq=seq)
 
     def reserve(self) -> int:
         """Reserve the next event sequence number (see :meth:`schedule`)."""
         return self._queue.reserve()
+
+    @property
+    def queue(self) -> Union[EventQueue, CalendarQueue]:
+        """The event queue, for components that queue :class:`Event`
+        objects of their own through its ``insert`` under the
+        :func:`schedule_error` guard (the DES task server's jobs)."""
+        return self._queue
 
     def schedule_after(
         self,
@@ -168,7 +184,13 @@ class Simulator:
                 after ``until`` and set the clock to ``until``.
             max_events: If given, stop after that many additional events.
                 Useful as a runaway guard in tests.
+
+        Raises:
+            ValueError: if ``max_events`` is not ``None`` or a
+                non-negative integer (a bool, a float such as NaN -- which
+                would never trip the guard -- or a negative count).
         """
+        check_limit("max_events", max_events)
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True

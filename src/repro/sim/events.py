@@ -19,8 +19,12 @@ DES run):
   bound.
 * The cheapest event is one never pushed.  :meth:`EventQueue.reserve`
   hands out a sequence number up front, so a caller can push an event
-  that will rarely be needed (a job's deadline) only when it turns out
-  to be needed, at the exact place in the order it would have had.
+  that will rarely be needed only when it turns out to be needed, at
+  the exact place in the order it would have had.
+* :meth:`EventQueue.insert` queues an :class:`Event` (or a slotted
+  subclass) the caller built, keeping a ``seq`` it already has, so an
+  object that is its own event -- a DES job -- is queued, and
+  re-queued at its old place, without a second allocation.
 * At very high event density the ``log n`` of the binary heap itself
   becomes the bottleneck, so :class:`CalendarQueue` offers a calendar
   queue (Brown 1988) with amortised O(1) push/pop.  Both structures
@@ -150,6 +154,7 @@ class EventQueue:
         one, so the event pops exactly where it would have popped had it
         been pushed at reservation time.
         """
+        # insert()'s body, inline: one call fewer on the schedule path.
         if seq is None:
             seq = self._next_seq
             self._next_seq = seq + 1
@@ -157,6 +162,25 @@ class EventQueue:
         heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
+
+    def insert(self, event: Event) -> None:
+        """Queue an :class:`Event` the caller built (or re-armed).
+
+        The allocation-free twin of :meth:`push`, for callers that keep
+        one object across its pushes (a DES job is its own event).  A
+        negative ``event.seq`` takes the next number; any other is kept,
+        so a popped event re-queued with its own ``seq`` (or one from
+        :meth:`reserve`) keeps its place in the order among equal
+        ``(time, priority)``.  The caller guards the time, as
+        :meth:`Simulator.schedule <repro.sim.engine.Simulator.schedule>`
+        does.
+        """
+        seq = event.seq
+        if seq < 0:
+            seq = event.seq = self._next_seq
+            self._next_seq = seq + 1
+        heapq.heappush(self._heap, (event.time, event.priority, seq, event))
+        self._live += 1
 
     def reserve(self) -> int:
         """Take the next sequence number without queueing an event.
@@ -384,15 +408,20 @@ class CalendarQueue:
         one, so the event pops exactly where it would have popped had it
         been pushed at reservation time.
         """
-        if seq is None:
-            seq = self._next_seq
+        event = Event(time, priority, -1 if seq is None else seq, callback, payload)
+        self.insert(event)
+        return event
+
+    def insert(self, event: Event) -> None:
+        """Queue an :class:`Event` the caller built (see :meth:`EventQueue.insert`)."""
+        seq = event.seq
+        if seq < 0:
+            seq = event.seq = self._next_seq
             self._next_seq = seq + 1
-        event = Event(time, priority, seq, callback, payload)
-        self._insert((time, priority, seq, event))
+        self._insert((event.time, event.priority, seq, event))
         self._live += 1
         if self._live > 2 * self._nbuckets:
             self._resize(2 * self._nbuckets)
-        return event
 
     def reserve(self) -> int:
         """Take the next sequence number without queueing an event.

@@ -15,8 +15,14 @@ from repro.core import (
 from repro.dca import ByzantineCollusion, DcaConfig, DcaSimulation, run_dca
 from repro.dca.node import Node
 from repro.dca.taskserver import _Job
+from repro.dca.workload import Workload
 from repro.obs import TelemetryRecorder
 from repro.sim.events import CalendarQueue, Event, EventQueue
+
+
+def _queue_entries(queue):
+    """The physical entry lists of either queue kind."""
+    return queue._buckets if isinstance(queue, CalendarQueue) else [queue._heap]
 
 
 def run(strategy, **overrides):
@@ -184,6 +190,61 @@ class TestRunTotalCounters:
         assert "dca.timeout" not in counters
         assert "dca.spot_check" not in counters
 
+    def test_task_totals_match_the_records(self):
+        recorder = TelemetryRecorder()
+        report = run_dca(
+            DcaConfig(strategy=IterativeRedundancy(2), tasks=60, nodes=20, seed=4),
+            recorder=recorder,
+        )
+        snapshot = recorder.registry.snapshot()
+        decisions = {
+            entry["labels"]["outcome"]: entry["value"]
+            for entry in snapshot["dca.decisions"]["series"]
+        }
+        waves = {
+            entry["labels"]["followup"]: entry for entry in snapshot["dca.wave_size"]["series"]
+        }
+        assert decisions["accept"] == snapshot["dca.accept"]["series"][0]["value"] == 60
+        assert decisions["extend"] == waves["True"]["count"] > 0
+        assert waves["False"]["count"] == 60
+        response = snapshot["dca.response_time"]["series"][0]
+        jobs = snapshot["dca.jobs_per_task"]["series"][0]
+        total = 0.0
+        for record in report.records:
+            total += record.response_time
+        assert response["count"] == jobs["count"] == 60
+        assert response["sum"].hex() == total.hex()
+        assert jobs["sum"] == sum(record.jobs_used for record in report.records)
+
+    def test_a_run_that_raises_records_no_task_totals_but_every_submit(self):
+        class FailingLater(TraditionalRedundancy):
+            calls = 0
+
+            def decide(self, vote):
+                FailingLater.calls += 1
+                if FailingLater.calls == 6:
+                    raise RuntimeError("strategy bug")
+                return super().decide(vote)
+
+        recorder = TelemetryRecorder()
+        simulation = DcaSimulation(
+            DcaConfig(strategy=FailingLater(3), tasks=10, nodes=10, seed=4),
+            recorder=recorder,
+        )
+        with pytest.raises(RuntimeError, match="strategy bug"):
+            simulation.run()
+        assert len(simulation.server.records) == 5
+        snapshot = recorder.registry.snapshot()
+        assert snapshot["dca.submit"]["series"][0]["value"] == 10
+        for name in (
+            "dca.accept",
+            "dca.decisions",
+            "dca.wave_size",
+            "dca.response_time",
+            "dca.jobs_per_task",
+        ):
+            assert name not in snapshot
+
     def test_a_run_that_raises_records_no_job_counters(self):
         class Failing(TraditionalRedundancy):
             def decide(self, vote):
@@ -260,16 +321,18 @@ class TestFollowupPriority:
 
 
 class TestCycleFreeLifecycle:
-    """Finished jobs and their events are freed by reference counting.
+    """Finished jobs are freed by reference counting.
 
-    With the cyclic collector off, only jobs still in flight (at most
-    one per node) and their events (at most two per job) may survive a
-    run; a reference cycle per job would keep every dispatched job alive.
+    A job is its own event, so with the cyclic collector off only jobs
+    still in flight (at most one per node) and churn's two timers may
+    survive a run; a reference cycle per job would keep every dispatched
+    job alive, and a separate event per job would show up beside it.
     """
 
     @staticmethod
     def _live(kind):
-        return sum(1 for obj in gc.get_objects() if type(obj) is kind)
+        # Subclasses too: jobs are Events.
+        return sum(1 for obj in gc.get_objects() if isinstance(obj, kind))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -299,7 +362,40 @@ class TestCycleFreeLifecycle:
             gc.enable()
         assert report.total_jobs_dispatched > 10 * nodes
         assert jobs <= nodes
-        assert events <= 2 * nodes
+        # Every other live event is one of churn's two pending timers.
+        assert events - jobs <= (2 if overrides.get("arrival_rate") else 0)
+
+    @pytest.mark.parametrize("queue", ["heap", "calendar"])
+    def test_one_queued_job_per_busy_node_and_no_other_event(self, queue):
+        nodes = 50
+        simulation = DcaSimulation(
+            DcaConfig(
+                strategy=TraditionalRedundancy(9),
+                tasks=200,
+                nodes=nodes,
+                reliability=0.7,
+                seed=3,
+                unresponsive_prob=0.1,
+                queue=queue,
+            )
+        )
+        for task in Workload(200).tasks():
+            simulation.server.submit(task)
+        gc.collect()
+        plain_events_before = sum(1 for obj in gc.get_objects() if type(obj) is Event)
+        simulation.sim.run(until=20.0)
+        busy = [node for node in simulation.pool if node.busy]
+        queued = [
+            entry[3]
+            for entries in _queue_entries(simulation.sim.queue)
+            for entry in entries
+            if not entry[3].cancelled
+        ]
+        assert simulation.server.jobs_timed_out > 0
+        assert len(busy) == nodes == simulation.sim.pending == len(queued)
+        assert all(type(event) is _Job for event in queued)
+        assert sorted(job.node.node_id for job in queued) == sorted(n.node_id for n in busy)
+        assert sum(1 for obj in gc.get_objects() if type(obj) is Event) == plain_events_before
 
 
 class TestDeferredDeadlines:

@@ -1,8 +1,25 @@
 """Recorder contract: null normalization, buffering, caps."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.obs import NullRecorder, Recorder, TelemetryRecorder, active
+from repro.obs import DEFAULT_BOUNDARIES, NullRecorder, Recorder, TelemetryRecorder, active
+
+#: Histogram values, often exactly on a bucket boundary.
+_OBSERVED = st.one_of(
+    st.sampled_from(DEFAULT_BOUNDARIES),
+    st.integers(min_value=0, max_value=2_000),
+    st.floats(min_value=-10.0, max_value=2_000.0, allow_nan=False),
+)
+
+
+def _bits(snapshot):
+    """The snapshot with every histogram sum as its exact float bits."""
+    for family in snapshot.values():
+        for series in family["series"]:
+            if "sum" in series:
+                series["sum"] = float(series["sum"]).hex()
+    return snapshot
 
 
 class TestActive:
@@ -90,6 +107,51 @@ class TestTelemetryRecorder:
         recorder.span_end("job", 1, 1.0)
         assert recorder.spans[0].attrs == {"node": 1}
 
+    @pytest.mark.parametrize("cap", ["max_spans", "max_events"])
+    @pytest.mark.parametrize(
+        "value",
+        [2.5, float("nan"), float("inf"), True, False, -1, "3"],
+        ids=["fraction", "nan", "inf", "true", "false", "negative", "string"],
+    )
+    def test_caps_must_be_non_negative_integers(self, cap, value):
+        # 2.5 was never reached (a count never equals it), NaN dropped
+        # everything and True acted as 1.
+        with pytest.raises(ValueError, match=cap):
+            TelemetryRecorder(**{cap: value})
+
+    def test_integer_caps_of_any_integral_type_are_accepted(self):
+        import numpy as np
+
+        recorder = TelemetryRecorder(max_spans=np.int64(1), max_events=0)
+        recorder.span_begin("job", 1, 0.0)
+        recorder.span_end("job", 1, 1.0)
+        recorder.span_begin("job", 2, 1.0)
+        recorder.span_end("job", 2, 2.0)
+        recorder.event("e", 0.0)
+        assert (len(recorder.spans), recorder.dropped_spans) == (1, 1)
+        assert (len(recorder.events), recorder.dropped_events) == (0, 1)
+
+    def test_open_spans_are_kept_per_name(self):
+        # One key may be open under two names at once; each end closes
+        # only its own name's span.
+        recorder = TelemetryRecorder()
+        recorder.span_begin("job", 7, 0.0, {"who": "job"})
+        recorder.span_begin("task", 7, 0.5, {"who": "task"})
+        assert recorder.open_spans == 2
+        recorder.span_end("task", 7, 1.0)
+        assert recorder.open_spans == 1
+        recorder.span_end("job", 7, 2.0)
+        recorder.span_end("job", 7, 3.0)  # already closed: unmatched
+        assert recorder.open_spans == 0
+        assert [
+            (span.name, span.start, span.end, span.attrs, span.unmatched)
+            for span in recorder.spans
+        ] == [
+            ("task", 0.5, 1.0, {"who": "task"}, False),
+            ("job", 0.0, 2.0, {"who": "job"}, False),
+            ("job", 3.0, 3.0, {}, True),
+        ]
+
     def test_event_cap_drops_and_counts(self):
         recorder = TelemetryRecorder(max_events=2)
         for i in range(5):
@@ -169,6 +231,32 @@ class TestTelemetryRecorder:
         assert payload["events"][0]["attrs"] == {"k": "v"}
 
 
+class TestObserveMany:
+    def test_empty_values_record_nothing(self):
+        recorder = TelemetryRecorder()
+        recorder.observe_many("h", [])
+        recorder.observe_many("h", (), labels={"followup": True})
+        assert recorder.registry.snapshot() == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batches=st.lists(
+            st.tuples(
+                st.sampled_from([None, {"followup": False}, {"followup": True}]),
+                st.lists(_OBSERVED, max_size=12),
+            ),
+            max_size=6,
+        )
+    )
+    def test_equals_repeated_observe(self, batches):
+        many, one_by_one = TelemetryRecorder(), TelemetryRecorder()
+        for labels, values in batches:
+            many.observe_many("h", values, labels)
+            for value in values:
+                one_by_one.observe("h", value, labels)
+        assert _bits(many.registry.snapshot()) == _bits(one_by_one.registry.snapshot())
+
+
 class TestBaseRecorder:
     def test_base_recorder_interface_is_noop(self):
         # The abstract base must be safe to call: adapters may override
@@ -176,5 +264,6 @@ class TestBaseRecorder:
         recorder = Recorder()
         recorder.count("c")
         recorder.event("e", 0.0)
+        recorder.observe_many("h", [1.0, 2.0])
         assert recorder.enabled is False
         assert recorder.keeps_spans

@@ -128,6 +128,38 @@ class TestRunControls:
         sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "max_events",
+        [float("nan"), 2.5, -1, True, False, "3"],
+        ids=["nan", "fraction", "negative", "true", "false", "string"],
+    )
+    def test_max_events_must_be_a_non_negative_integer(self, max_events):
+        # NaN used to disable the guard (every comparison with it is
+        # false) and -1 used to run nothing without a word.
+        sim = Simulator(seed=1)
+        fired = []
+        for i in range(5):
+            sim.schedule(float(i + 1), lambda ev, i=i: fired.append(i))
+        with pytest.raises(ValueError, match="max_events"):
+            sim.run(until=10.0, max_events=max_events)
+        assert fired == [] and sim.now == 0.0
+        sim.run(max_events=0)
+        assert fired == []
+
+    def test_nan_max_events_can_no_longer_let_a_runaway_through(self):
+        sim = Simulator(seed=1)
+        fired = []
+
+        def again(ev):
+            fired.append(sim.now)
+            sim.schedule_after(0.001, again)
+
+        sim.schedule(0.0, again)
+        with pytest.raises(ValueError):
+            sim.run(until=2.0, max_events=float("nan"))
+        sim.run(until=2.0, max_events=1000)
+        assert len(fired) == 1000 and sim.now < 2.0
+
     def test_stop_simulation_halts_loop(self):
         sim = Simulator(seed=1)
         fired = []

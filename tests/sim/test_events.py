@@ -4,7 +4,7 @@ and the lazy-deletion memory bound."""
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.events import COMPACT_MIN_CANCELLED, Event, EventQueue
+from repro.sim.events import COMPACT_MIN_CANCELLED, QUEUE_KINDS, Event, EventQueue, make_queue
 
 
 def _noop(event):
@@ -147,6 +147,47 @@ class TestEventObject:
         assert not event.cancelled
         event.cancel()
         assert event.cancelled
+
+
+@pytest.mark.parametrize("kind", QUEUE_KINDS)
+class TestInsert:
+    """``insert`` queues a caller-built event exactly as ``push`` would."""
+
+    def test_negative_seq_takes_the_next_number(self, kind):
+        queue = make_queue(kind)
+        first = queue.push(1.0, _noop, payload="push")
+        event = Event(1.0, 0, -1, _noop, "insert")
+        queue.insert(event)
+        assert (first.seq, event.seq) == (0, 1)
+        assert len(queue) == 2
+        assert [queue.pop().payload for _ in range(2)] == ["push", "insert"]
+
+    def test_reserved_seq_slots_in_at_reservation_order(self, kind):
+        queue = make_queue(kind)
+        reserved = queue.reserve()
+        queue.push(2.0, _noop, payload="pushed later")
+        queue.insert(Event(2.0, 0, reserved, _noop, "reserved"))
+        assert [queue.pop().payload for _ in range(2)] == ["reserved", "pushed later"]
+
+    def test_a_popped_event_can_be_requeued_in_place(self, kind):
+        queue = make_queue(kind)
+        reserved = queue.reserve()
+        event = Event(1.0, 0, -1, _noop, "job")
+        queue.insert(event)
+        queue.push(5.0, _noop, payload="tie")
+        assert queue.pop() is event
+        event.time, event.seq, event.fired = 5.0, reserved, False
+        queue.insert(event)
+        assert [queue.pop().payload for _ in range(2)] == ["job", "tie"]
+        assert not queue
+
+    def test_matches_push_on_a_random_schedule(self, kind):
+        pushed, inserted = make_queue(kind), make_queue(kind)
+        times = [float((i * 7919) % 13) for i in range(200)]
+        for i, time in enumerate(times):
+            pushed.push(time, _noop, priority=i % 3, payload=i)
+            inserted.insert(Event(time, i % 3, -1, _noop, i))
+        assert [pushed.pop().payload for _ in times] == [inserted.pop().payload for _ in times]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
