@@ -1,6 +1,6 @@
 """reprolint: determinism & correctness static analysis for this repo.
 
-Four complementary parts:
+Three complementary parts:
 
 * a static AST pass (:mod:`repro.lint.rules`, driven by
   :class:`~repro.lint.engine.LintEngine`) that rejects the known
@@ -15,12 +15,6 @@ Four complementary parts:
   pool workers, shared mutable state reachable from workers, unordered
   set iteration feeding reductions, RNG-stream provenance leaks, and
   ``__init__`` export drift (RL101-RL106);
-* a flow-sensitive abstract interpretation (``repro-lint --flows``;
-  :mod:`repro.lint.provenance`, :mod:`repro.lint.absint`,
-  :mod:`repro.lint.flow_rules`) that tags every value with its RNG
-  stream provenance and iteration orderedness, propagates the tags
-  interprocedurally through the call graph, and enforces the
-  replicate-isolation invariants (RL201-RL205);
 * a runtime sanitizer (:mod:`repro.lint.sanitizer`) that replays a
   simulation from the same seed and pinpoints the first diverging
   recorded span, event, or task record when the static rules missed
@@ -30,14 +24,11 @@ Run the linter with ``python -m repro.lint [paths]`` or the
 ``repro-lint`` console script; see ``docs/linting.md``.
 """
 
-from repro.lint.absint import FlowAnalysis
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.cache import LintCache, ruleset_signature
 from repro.lint.config import LintConfig, load_config
 from repro.lint.engine import LintEngine, ModuleContext, Rule, register, registered_rules
 from repro.lint.findings import Finding, Severity
 from repro.lint.fixes import fix_source
-from repro.lint.flow_rules import FlowRule, register_flow, registered_flow_rules
 from repro.lint.graph import ImportGraph, find_package_root, load_project
 from repro.lint.project import ProjectReport, lint_project
 from repro.lint.project_rules import (
@@ -46,15 +37,6 @@ from repro.lint.project_rules import (
     ProjectRule,
     register_project,
     registered_project_rules,
-)
-from repro.lint.provenance import (
-    BOTTOM,
-    TOP,
-    TOP_UNSEEDED,
-    AbstractValue,
-    FunctionSummary,
-    Orderedness,
-    Provenance,
 )
 from repro.lint.sanitizer import (
     DeterminismError,
@@ -74,45 +56,32 @@ from repro.lint.sarif import render_sarif, sarif_log
 
 __all__ = [
     "ALLOWED_IMPORTS",
-    "BOTTOM",
-    "AbstractValue",
     "DeterminismError",
     "DeterminismSanitizer",
     "Divergence",
     "Finding",
-    "FlowAnalysis",
-    "FlowRule",
-    "FunctionSummary",
     "ImportGraph",
     "LintCache",
     "LintConfig",
     "LintEngine",
     "ModuleContext",
-    "Orderedness",
     "ProjectContext",
     "ProjectReport",
     "ProjectRule",
-    "Provenance",
     "Rule",
     "SanitizerReport",
     "Severity",
-    "TOP",
-    "TOP_UNSEEDED",
-    "apply_baseline",
     "dca_runner",
     "diff_captures",
     "find_package_root",
     "fix_source",
     "grid_runner",
     "lint_project",
-    "load_baseline",
     "load_config",
     "load_project",
     "mapreduce_runner",
     "register",
-    "register_flow",
     "register_project",
-    "registered_flow_rules",
     "registered_project_rules",
     "registered_rules",
     "render_sarif",
@@ -122,5 +91,4 @@ __all__ = [
     "sanitize_mapreduce",
     "sarif_log",
     "trace_fingerprint",
-    "write_baseline",
 ]

@@ -1,11 +1,11 @@
 """Incremental lint cache (``.reprolint-cache.json``).
 
-Project-mode runs (``--project`` / ``--flows``) memoize two things:
+Project-mode runs (``--project``) memoize two things:
 
 * **per-file results** -- keyed by the file's sha256 content hash, so a
   warm run re-lints only files whose bytes changed;
-* **the whole-program pass** -- import graph, call graph, flow analysis
-  and the RL1xx/RL2xx rules are one indivisible analysis, so its result
+* **the whole-program pass** -- import graph, call graph and the RL1xx
+  rules are one indivisible analysis, so its result
   is keyed by a *tree hash* over every (path, sha256) pair in the run:
   any changed, added, or removed file invalidates it as a unit.
 
@@ -37,7 +37,8 @@ DEFAULT_CACHE_NAME = ".reprolint-cache.json"
 #: Bump whenever any rule's behaviour changes: invalidates every entry.
 #: 2: tensor tier (RL301-RL305) joined the signature.
 #: 3: tensor tier retired; RL304 became a per-file rule.
-RULESET_VERSION = 3
+#: 4: flow tier (RL201-RL205) retired.
+RULESET_VERSION = 4
 
 
 def file_sha(path: str) -> str:

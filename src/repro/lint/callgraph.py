@@ -47,10 +47,6 @@ class FunctionInfo:
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     class_name: Optional[str] = None
 
-    @property
-    def lineno(self) -> int:
-        return getattr(self.node, "lineno", 1)
-
 
 @dataclass
 class ModuleScope:

@@ -1,16 +1,15 @@
 """Command-line entry point: ``python -m repro.lint`` / ``repro-lint``.
 
-Three modes:
+Two modes:
 
 * **per-file** (default): run the RL0xx rules and RL304 (unstable
   sorts) over the given paths;
 * **project** (``--project``): additionally build the import graph and
   call graph over the ``repro`` package and run the whole-program RL1xx
   rules, with per-file linting fanned out over ``--jobs`` worker
-  processes via :func:`repro.parallel.parallel_map`;
-* **flows** (``--flows``, implies ``--project``): also run the
-  flow-sensitive abstract interpretation and the RL2xx provenance/
-  shard-safety rules.
+  processes via :func:`repro.parallel.parallel_map`.  The retired
+  ``--flows`` and ``--tensors`` flags are still accepted, as
+  ``--project``.
 
 Project-mode runs keep an incremental cache (``.reprolint-cache.json``
 next to pyproject.toml) so warm runs skip unchanged files; ``--no-cache``
@@ -19,9 +18,8 @@ RL304) in place before linting.
 
 Output formats (``--output`` / legacy ``-f/--format``): ``text``,
 ``json`` (schema-versioned payload), and ``sarif`` (SARIF 2.1.0, for CI
-annotation upload).  A committed baseline file
-(``.reprolint-baseline.json``) can absorb known findings so rules adopt
-incrementally; see ``--baseline`` / ``--update-baseline``.
+annotation upload).  Known findings are silenced inline, one
+justified ``# reprolint: disable=`` comment each.
 
 Exit codes: 0 = clean, 1 = error-severity findings, 2 = usage error,
 3 = internal error (the linter itself crashed).  CI relies on the 1/3
@@ -38,17 +36,10 @@ import traceback
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.cache import DEFAULT_CACHE_NAME, LintCache, ruleset_signature
 from repro.lint.config import LintConfig, load_config
 from repro.lint.engine import LintEngine, registered_rules
 from repro.lint.findings import Finding, Severity
-from repro.lint.flow_rules import registered_flow_rules
 from repro.lint.project import ProjectReport, lint_project
 from repro.lint.project_rules import registered_project_rules
 from repro.lint.sarif import render_sarif
@@ -60,7 +51,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 #: Bump on any incompatible change to the ``--output json`` payload.
-JSON_SCHEMA_VERSION = 2
+#: 3: the ``baselined``/``stale_baseline`` fields went with the baseline.
+JSON_SCHEMA_VERSION = 3
 #: The ``schema`` field of the JSON payload (BENCH_*.json convention).
 JSON_SCHEMA = f"repro-lint-report/{JSON_SCHEMA_VERSION}"
 
@@ -89,14 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="whole-program mode: run the RL1xx cross-module rules too",
     )
-    parser.add_argument(
-        "--flows",
-        action="store_true",
-        help="flow analysis mode (implies --project): run the RL2xx "
-        "RNG-provenance and shard-safety rules",
-    )
-    # The tensor rules are retired; the flag is still accepted, as
-    # --project, so existing invocations keep working.
+    # The flow (RL2xx) and tensor (RL3xx) tiers are retired; their flags
+    # are still accepted, as --project, so existing invocations keep
+    # working.
+    parser.add_argument("--flows", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--tensors", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--fix",
@@ -119,17 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for per-file linting in --project mode "
         "(default: 1; output is byte-identical for any N)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline file of known findings to tolerate "
-        f"(default in --project mode: {DEFAULT_BASELINE_NAME} next to pyproject.toml)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -180,14 +157,7 @@ def _tool_version() -> str:
     return getattr(repro, "__version__", "0")
 
 
-def _render_text(
-    findings: List[Finding],
-    files_checked: int,
-    suppressed: int,
-    *,
-    baselined: int = 0,
-    stale_baseline: int = 0,
-) -> str:
+def _render_text(findings: List[Finding], files_checked: int, suppressed: int) -> str:
     lines = [finding.format() for finding in findings]
     errors = sum(1 for f in findings if f.severity is Severity.ERROR)
     warnings = len(findings) - errors
@@ -196,25 +166,11 @@ def _render_text(
         f"{errors} error(s), {warnings} warning(s), "
         f"{suppressed} suppressed"
     )
-    if baselined or stale_baseline:
-        summary += f", {baselined} baselined"
-        if stale_baseline:
-            summary += (
-                f", {stale_baseline} stale baseline entr"
-                f"{'y' if stale_baseline == 1 else 'ies'} (run --update-baseline)"
-            )
     lines.append(summary)
     return "\n".join(lines)
 
 
-def _render_json(
-    findings: List[Finding],
-    files_checked: int,
-    suppressed: int,
-    *,
-    baselined: int = 0,
-    stale_baseline: int = 0,
-) -> str:
+def _render_json(findings: List[Finding], files_checked: int, suppressed: int) -> str:
     summary: Dict[str, int] = {}
     for finding in findings:
         summary[finding.rule_id] = summary.get(finding.rule_id, 0) + 1
@@ -223,8 +179,6 @@ def _render_json(
         "version": JSON_SCHEMA_VERSION,
         "files_checked": files_checked,
         "suppressed": suppressed,
-        "baselined": baselined,
-        "stale_baseline": stale_baseline,
         "findings": [finding.as_dict() for finding in findings],
         "summary": summary,
     }
@@ -235,7 +189,6 @@ def _rule_metadata(rule_ids: Sequence[str]) -> List[Tuple[str, str, Severity]]:
     registry: Dict[str, type] = {}
     registry.update(registered_rules())
     registry.update(registered_project_rules())
-    registry.update(registered_flow_rules())
     return [
         (rule_id, registry[rule_id].summary, registry[rule_id].severity)
         for rule_id in sorted(rule_ids)
@@ -249,22 +202,6 @@ def _cache_path(config: LintConfig) -> Path:
     if config.source != "<defaults>":
         return Path(config.source).parent / DEFAULT_CACHE_NAME
     return Path(DEFAULT_CACHE_NAME)
-
-
-def _default_baseline(args: argparse.Namespace, config: LintConfig) -> Optional[Path]:
-    """The baseline path: explicit flag, else (project mode only) the
-    conventional file next to the resolved pyproject.toml."""
-    if args.baseline:
-        return Path(args.baseline)
-    if not args.project and not args.update_baseline:
-        return None
-    if config.source != "<defaults>":
-        candidate = Path(config.source).parent / DEFAULT_BASELINE_NAME
-    else:
-        candidate = Path(DEFAULT_BASELINE_NAME)
-    if candidate.is_file() or args.update_baseline:
-        return candidate
-    return None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -284,27 +221,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _run(args: argparse.Namespace) -> int:
     file_registry = registered_rules()
     project_registry = registered_project_rules()
-    flow_registry = registered_flow_rules()
     if args.list_rules:
-        combined = {**file_registry, **project_registry, **flow_registry}
+        combined = {**file_registry, **project_registry}
         for rule_id, cls in sorted(combined.items()):
-            if rule_id in flow_registry:
-                scope = "flow"
-            elif rule_id in project_registry:
-                scope = "project"
-            else:
-                scope = "file"
+            scope = "project" if rule_id in project_registry else "file"
             print(f"{rule_id}  [{cls.severity.value}]  [{scope}]  {cls.summary}")
         return EXIT_CLEAN
 
-    if args.tensors:
-        print(
-            "repro-lint: --tensors is retired (RL304 runs per file); "
-            "running as --project",
-            file=sys.stderr,
-        )
-    if args.flows or args.tensors:
-        args.project = True
+    for flag, retired in (("--flows", args.flows), ("--tensors", args.tensors)):
+        if retired:
+            print(f"repro-lint: {flag} is retired; running as --project", file=sys.stderr)
+            args.project = True
 
     if args.select is not None and not _split_rules(args.select):
         print("repro-lint: --select got no rule ids", file=sys.stderr)
@@ -322,20 +249,13 @@ def _run(args: argparse.Namespace) -> int:
     known_ids: Set[str] = set(file_registry)
     if args.project:
         known_ids |= set(project_registry)
-    if args.flows:
-        known_ids |= set(flow_registry)
     unknown = [
         rule_id
         for rule_id in (config.enable or []) + list(config.disable)
         if rule_id not in known_ids
     ]
     if unknown:
-        missing_modes = []
-        if not args.project:
-            missing_modes.append("RL1xx rules need --project")
-        if not args.flows:
-            missing_modes.append("RL2xx rules need --flows")
-        hint = f" ({', '.join(missing_modes)})" if missing_modes else ""
+        hint = "" if args.project else " (RL1xx rules need --project)"
         print(
             f"repro-lint: unknown rule id(s): {', '.join(sorted(set(unknown)))}"
             + hint,
@@ -346,7 +266,6 @@ def _run(args: argparse.Namespace) -> int:
     selected = config.selected_rule_ids(sorted(known_ids))
     file_rule_ids = [rule_id for rule_id in selected if rule_id in file_registry]
     project_rule_ids = [rule_id for rule_id in selected if rule_id in project_registry]
-    flow_rule_ids = [rule_id for rule_id in selected if rule_id in flow_registry]
 
     paths = list(args.paths) or list(config.paths)
     missing = [path for path in paths if not Path(path).exists()]
@@ -366,22 +285,19 @@ def _run(args: argparse.Namespace) -> int:
     if args.project:
         cache = None
         if not args.no_cache:
-            signature = ruleset_signature(
-                _tool_version(), file_rule_ids, project_rule_ids, flow_rule_ids
-            )
+            signature = ruleset_signature(_tool_version(), file_rule_ids, project_rule_ids)
             cache = LintCache.load(_cache_path(config), signature)
         report = lint_project(
             paths,
             rule_ids=file_rule_ids,
             project_rule_ids=project_rule_ids,
-            flow_rule_ids=flow_rule_ids,
             jobs=args.jobs,
             cache=cache,
         )
-        if (project_rule_ids or flow_rule_ids) and not report.analyzed_project:
+        if project_rule_ids and not report.analyzed_project:
             print(
                 "repro-lint: --project found no importable 'repro' package "
-                "under the given paths; RL1xx/RL2xx rules were skipped",
+                "under the given paths; RL1xx rules were skipped",
                 file=sys.stderr,
             )
     else:
@@ -395,37 +311,9 @@ def _run(args: argparse.Namespace) -> int:
             suppressed=engine.suppressed_count,
         )
 
-    baseline_path = _default_baseline(args, config)
-    if args.update_baseline:
-        if baseline_path is None:
-            baseline_path = Path(DEFAULT_BASELINE_NAME)
-        count = write_baseline(report.findings, baseline_path)
-        print(
-            f"repro-lint: wrote {count} finding(s) to {baseline_path}",
-            file=sys.stderr,
-        )
-        return EXIT_CLEAN
-
     findings = report.findings
-    baselined = stale = 0
-    if baseline_path is not None and baseline_path.is_file():
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        findings, baselined, stale = apply_baseline(findings, baseline)
-
     if args.format == "json":
-        print(
-            _render_json(
-                findings,
-                report.files_checked,
-                report.suppressed,
-                baselined=baselined,
-                stale_baseline=stale,
-            )
-        )
+        print(_render_json(findings, report.files_checked, report.suppressed))
     elif args.format == "sarif":
         print(
             render_sarif(
@@ -435,15 +323,7 @@ def _run(args: argparse.Namespace) -> int:
             )
         )
     else:
-        print(
-            _render_text(
-                findings,
-                report.files_checked,
-                report.suppressed,
-                baselined=baselined,
-                stale_baseline=stale,
-            )
-        )
+        print(_render_text(findings, report.files_checked, report.suppressed))
     has_errors = any(f.severity is Severity.ERROR for f in findings)
     return EXIT_FINDINGS if has_errors else EXIT_CLEAN
 

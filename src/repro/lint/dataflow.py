@@ -16,8 +16,8 @@ from repro.lint.rules import _GLOBAL_DRAWS
 
 #: Attribute calls that draw from (or hand out) an RNG stream.  Includes
 #: the numpy ``Generator`` draw methods the columnar engine uses
-#: (``integers``, ``standard_normal``, ``permutation``), so flow rules
-#: treat vectorized draws exactly like scalar ones.
+#: (``integers``, ``standard_normal``, ``permutation``), so the project
+#: rules treat vectorized draws exactly like scalar ones.
 RNG_DRAW_ATTRS = (
     frozenset(_GLOBAL_DRAWS)
     | {"stream", "spawn"}

@@ -53,16 +53,13 @@ def _lint_file_worker(item: Tuple[str, Tuple[str, ...]]) -> Tuple[List[Finding],
 
 
 def run_project_rules(
-    paths: Sequence[str],
-    project_rule_ids: Sequence[str],
-    flow_rule_ids: Sequence[str] = (),
+    paths: Sequence[str], project_rule_ids: Sequence[str]
 ) -> Tuple[List[Finding], int, bool]:
     """Run whole-program rules over the ``repro`` package in ``paths``.
 
     Returns (findings, suppressed count, package-root-found).  Findings
     honour the same inline/file/next-line suppression comments as the
-    per-file rules.  When ``flow_rule_ids`` is non-empty the abstract
-    interpreter runs once and the RL2xx flow rules share its result.
+    per-file rules.
     """
     root = find_package_root(paths)
     if root is None:
@@ -76,31 +73,16 @@ def run_project_rules(
     }
     findings: List[Finding] = []
     suppressed = 0
-
-    def admit(finding: Finding) -> None:
-        nonlocal suppressed
-        silenced = silenced_by_path.get(finding.path, {})
-        if finding.rule_id in silenced.get(0, set()) or finding.rule_id in silenced.get(
-            finding.line, set()
-        ):
-            suppressed += 1
-            return
-        findings.append(finding)
-
     for rule_id in sorted(project_rule_ids):
         rule = registry[rule_id]()
         for finding in rule.check(project):
-            admit(finding)
-    if flow_rule_ids:
-        from repro.lint.absint import FlowAnalysis
-        from repro.lint.flow_rules import registered_flow_rules
-
-        analysis = FlowAnalysis.build(project.graph, project.callgraph)
-        flow_registry = registered_flow_rules()
-        for rule_id in sorted(flow_rule_ids):
-            rule = flow_registry[rule_id]()
-            for finding in rule.check(project, analysis):
-                admit(finding)
+            silenced = silenced_by_path.get(finding.path, {})
+            if finding.rule_id in silenced.get(0, set()) or finding.rule_id in silenced.get(
+                finding.line, set()
+            ):
+                suppressed += 1
+            else:
+                findings.append(finding)
     return findings, suppressed, True
 
 
@@ -109,7 +91,6 @@ def lint_project(
     *,
     rule_ids: Sequence[str],
     project_rule_ids: Sequence[str],
-    flow_rule_ids: Sequence[str] = (),
     jobs: Optional[int] = 1,
     cache: Optional[LintCache] = None,
 ) -> ProjectReport:
@@ -152,15 +133,13 @@ def lint_project(
                 report.suppressed += suppressed
                 if cache is not None:
                     cache.put_file(path, shas[path], findings, suppressed)
-    if project_rule_ids or flow_rule_ids:
+    if project_rule_ids:
         project_key = tree_hash(shas) if cache is not None else ""
         hit = cache.get_project(project_key) if cache is not None else None
         if hit is not None:
             project_findings, suppressed, analyzed = hit
         else:
-            project_findings, suppressed, analyzed = run_project_rules(
-                paths, project_rule_ids, flow_rule_ids
-            )
+            project_findings, suppressed, analyzed = run_project_rules(paths, project_rule_ids)
             if cache is not None:
                 cache.put_project(
                     project_key, project_findings, suppressed, analyzed

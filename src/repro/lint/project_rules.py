@@ -11,7 +11,7 @@ The architecture the layering rule (RL101) enforces::
 
     core ──► sim ──► dca ──► {grid, mapreduce, volunteer} ──► parallel
                                                                   │
-    sat ──► volunteer          replication (core, sim)            ▼
+    sat ──► volunteer                                             ▼
                                bench / lint (tooling)        experiments
 
 expressed precisely by :data:`ALLOWED_IMPORTS`.
@@ -60,7 +60,6 @@ ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
     "sim": frozenset({"core", "obs"}),
     "sat": frozenset({"core", "obs"}),
     "dca": frozenset({"core", "sim", "obs"}),
-    "replication": frozenset({"core", "sim", "obs"}),
     "grid": frozenset({"core", "sim", "dca", "obs"}),
     "mapreduce": frozenset({"core", "sim", "dca", "obs"}),
     "volunteer": frozenset({"core", "sim", "sat", "dca", "obs"}),
@@ -71,7 +70,6 @@ ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
             "sim",
             "sat",
             "dca",
-            "replication",
             "grid",
             "mapreduce",
             "volunteer",
@@ -85,7 +83,6 @@ ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
             "sim",
             "sat",
             "dca",
-            "replication",
             "grid",
             "mapreduce",
             "volunteer",
@@ -100,7 +97,6 @@ ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
             "sim",
             "sat",
             "dca",
-            "replication",
             "grid",
             "mapreduce",
             "volunteer",

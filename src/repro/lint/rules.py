@@ -21,7 +21,7 @@ from repro.lint.findings import Finding
 #: and benchmark timings is their purpose, and they never run *inside* a
 #: simulation.
 SIM_PACKAGES: FrozenSet[str] = frozenset(
-    {"sim", "dca", "core", "volunteer", "grid", "replication", "mapreduce"}
+    {"sim", "dca", "core", "volunteer", "grid", "mapreduce"}
 )
 
 #: Module-level draw functions of :mod:`random` (the shared global stream).

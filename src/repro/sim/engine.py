@@ -93,12 +93,8 @@ class Simulator:
         *,
         priority: int = DEFAULT_PRIORITY,
         payload: Any = None,
-        seq: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``.
-
-        ``seq`` is a number from :meth:`reserve`; the event then fires in
-        the place it would have had if scheduled at reservation time.
 
         Raises:
             SimulationError: if ``time`` precedes the current clock or is
@@ -108,11 +104,7 @@ class Simulator:
         # One comparison on the hot path: NaN fails it as well as the past.
         if not time >= self.now:
             raise schedule_error(time, self.now)
-        return self._queue.push(time, callback, priority=priority, payload=payload, seq=seq)
-
-    def reserve(self) -> int:
-        """Reserve the next event sequence number (see :meth:`schedule`)."""
-        return self._queue.reserve()
+        return self._queue.push(time, callback, priority=priority, payload=payload)
 
     @property
     def queue(self) -> Union[EventQueue, CalendarQueue]:

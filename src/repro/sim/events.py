@@ -17,10 +17,6 @@ DES run):
   whenever cancelled entries outnumber live ones past a threshold, so
   heavy cancel/reschedule churn can no longer grow the heap without
   bound.
-* The cheapest event is one never pushed.  :meth:`EventQueue.reserve`
-  hands out a sequence number up front, so a caller can push an event
-  that will rarely be needed only when it turns out to be needed, at
-  the exact place in the order it would have had.
 * :meth:`EventQueue.insert` queues an :class:`Event` (or a slotted
   subclass) the caller built, keeping a ``seq`` it already has, so an
   object that is its own event -- a DES job -- is queued, and
@@ -146,18 +142,11 @@ class EventQueue:
         *,
         priority: int = DEFAULT_PRIORITY,
         payload: Any = None,
-        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback`` at ``time`` and return the event handle.
-
-        ``seq`` takes a number from :meth:`reserve` instead of the next
-        one, so the event pops exactly where it would have popped had it
-        been pushed at reservation time.
-        """
+        """Schedule ``callback`` at ``time`` and return the event handle."""
         # insert()'s body, inline: one call fewer on the schedule path.
-        if seq is None:
-            seq = self._next_seq
-            self._next_seq = seq + 1
+        seq = self._next_seq
+        self._next_seq = seq + 1
         event = Event(time, priority, seq, callback, payload)
         heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
@@ -169,9 +158,9 @@ class EventQueue:
         The allocation-free twin of :meth:`push`, for callers that keep
         one object across its pushes (a DES job is its own event).  A
         negative ``event.seq`` takes the next number; any other is kept,
-        so a popped event re-queued with its own ``seq`` (or one from
-        :meth:`reserve`) keeps its place in the order among equal
-        ``(time, priority)``.  The caller guards the time, as
+        so a popped event re-queued with its own ``seq`` keeps its place
+        in the order among equal ``(time, priority)``.  The caller guards
+        the time, as
         :meth:`Simulator.schedule <repro.sim.engine.Simulator.schedule>`
         does.
         """
@@ -181,17 +170,6 @@ class EventQueue:
             self._next_seq = seq + 1
         heapq.heappush(self._heap, (event.time, event.priority, seq, event))
         self._live += 1
-
-    def reserve(self) -> int:
-        """Take the next sequence number without queueing an event.
-
-        A later ``push(..., seq=reserved)`` slots in among same-``(time,
-        priority)`` events in reservation order.  A number that is never
-        pushed costs nothing: ``len`` and the pop order ignore it.
-        """
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        return seq
 
     def cancel(self, event: Event) -> None:
         """Cancel ``event`` if it is still pending (not fired or cancelled)."""
@@ -400,15 +378,9 @@ class CalendarQueue:
         *,
         priority: int = DEFAULT_PRIORITY,
         payload: Any = None,
-        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback`` at ``time`` and return the event handle.
-
-        ``seq`` takes a number from :meth:`reserve` instead of the next
-        one, so the event pops exactly where it would have popped had it
-        been pushed at reservation time.
-        """
-        event = Event(time, priority, -1 if seq is None else seq, callback, payload)
+        """Schedule ``callback`` at ``time`` and return the event handle."""
+        event = Event(time, priority, -1, callback, payload)
         self.insert(event)
         return event
 
@@ -422,17 +394,6 @@ class CalendarQueue:
         self._live += 1
         if self._live > 2 * self._nbuckets:
             self._resize(2 * self._nbuckets)
-
-    def reserve(self) -> int:
-        """Take the next sequence number without queueing an event.
-
-        A later ``push(..., seq=reserved)`` slots in among same-``(time,
-        priority)`` events in reservation order.  A number that is never
-        pushed costs nothing: ``len`` and the pop order ignore it.
-        """
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        return seq
 
     def cancel(self, event: Event) -> None:
         """Cancel ``event`` if it is still pending (not fired or cancelled)."""

@@ -9,11 +9,11 @@ literals.
 
 :class:`StreamLabel` is a ``str`` subclass, so a constant drops into
 ``registry.stream(...)`` unchanged at runtime; its value is what static
-analysis sees.  Both the per-file literal rule (RL005) and the flow
-analysis (``--flows``) resolve a module-level ``StreamLabel("...")``
-binding to its literal value, so ``rng.stream(NODE_SELECTION)`` is as
-auditable as ``rng.stream("node-selection")`` -- and the constant also
-gives the label one greppable definition site and a type annotation for
+analysis sees.  The per-file literal rule (RL005) resolves a
+module-level ``StreamLabel("...")`` binding to its literal value, so
+``rng.stream(NODE_SELECTION)`` is as auditable as
+``rng.stream("node-selection")`` -- and the constant also gives the
+label one greppable definition site and a type annotation for
 stream-taking APIs.
 
 Per-index families (``f"replicate:{i}"``) stay f-strings with a literal

@@ -203,7 +203,7 @@ class TestPrimitives:
         assert base == ruleset_signature("1.0", ["RL001"], ["RL101"])
         assert base != ruleset_signature("1.1", ["RL001"], ["RL101"])
         assert base != ruleset_signature("1.0", ["RL001", "RL002"], ["RL101"])
-        # Group order matters (file vs project vs flow selections are
+        # Group order matters (file and project selections are
         # distinct), but order within a group does not.
         assert ruleset_signature("1.0", ["RL002", "RL001"]) == ruleset_signature(
             "1.0", ["RL001", "RL002"]

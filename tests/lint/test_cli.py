@@ -1,15 +1,14 @@
 """CLI behaviour: exit codes, text/JSON/SARIF output, rule selection,
-project mode (``--project``/``--jobs``), flow mode (``--flows``),
-autofixes (``--fix``), the incremental cache (``--no-cache``), the
-baseline ratchet, and the ``[tool.reprolint]`` config table (including
-the no-tomllib fallback)."""
+project mode (``--project``/``--jobs``) and its retired aliases
+(``--flows``, ``--tensors``), autofixes (``--fix``), the incremental
+cache (``--no-cache``), and the ``[tool.reprolint]`` config table
+(including the no-tomllib fallback)."""
 
 import json
 import textwrap
 
 import pytest
 
-from repro.lint.baseline import BASELINE_SCHEMA
 from repro.lint.cache import DEFAULT_CACHE_NAME
 from repro.lint.cli import JSON_SCHEMA, JSON_SCHEMA_VERSION, main
 from repro.lint.config import LintConfig, _fallback_parse, load_config
@@ -78,6 +77,14 @@ class TestExitCodes:
         assert "injected linter bug" in err
         assert "linter bug, not a finding" in err
 
+    @pytest.mark.parametrize("flag", ["--baseline=x.json", "--update-baseline"])
+    def test_retired_baseline_flags_are_usage_errors(self, tmp_path, flag, capsys):
+        path = write(tmp_path, "clean.py", CLEAN)
+        with pytest.raises(SystemExit) as exc:
+            main([flag, str(path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestOutputFormats:
     def test_json_schema(self, tmp_path, capsys):
@@ -85,7 +92,15 @@ class TestOutputFormats:
         assert main(["--format", "json", str(path)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == JSON_SCHEMA
-        assert payload["version"] == JSON_SCHEMA_VERSION
+        assert payload["version"] == JSON_SCHEMA_VERSION == 3
+        assert set(payload) == {
+            "schema",
+            "version",
+            "files_checked",
+            "suppressed",
+            "findings",
+            "summary",
+        }
         assert payload["files_checked"] == 1
         assert payload["suppressed"] == 0
         assert payload["summary"] == {"RL001": 1}
@@ -254,75 +269,32 @@ class TestProjectMode:
         assert "no importable 'repro' package" in capsys.readouterr().err
 
 
-def write_flow_package(tmp_path):
-    """A mini ``repro`` package with one flow defect: an unseeded
-    ``random.Random()`` drawn from inside decision code (RL203)."""
-    root = tmp_path / "repro"
-    (root / "dca").mkdir(parents=True)
-    (root / "__init__.py").touch()
-    (root / "dca" / "__init__.py").touch()
-    (root / "dca" / "sched.py").write_text(
-        textwrap.dedent(
-            """
-            import random
-
-            def jitter():
-                rng = random.Random()
-                return rng.random()
-            """
-        ),
-        encoding="utf-8",
-    )
-    return root
-
-
 class TestFlowMode:
-    def test_flows_runs_rl2xx_and_exits_one(self, tmp_path, capsys):
-        root = write_flow_package(tmp_path)
-        assert main(["--flows", str(root)]) == 1
-        out = capsys.readouterr().out
-        assert "RL203" in out
-        assert "unseeded" in out
+    """``--flows`` is a retired alias of ``--project``: the RL2xx tier is gone."""
 
     def test_flows_implies_project(self, tmp_path, capsys):
         # RL1xx ids are selectable under --flows without --project.
         root = write_mini_package(tmp_path)
         assert main(["--flows", "--select", "RL101", str(root)]) == 1
-        assert "RL101" in capsys.readouterr().out
-
-    def test_rl2xx_needs_flows(self, tmp_path, capsys):
-        root = write_flow_package(tmp_path)
-        assert main(["--project", "--select", "RL203", str(root)]) == 2
-        assert "--flows" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "RL101" in captured.out
+        assert "--flows is retired" in captured.err
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         root = write_mini_package(tmp_path, violating=False)
         assert main(["--flows", str(root)]) == 0
         assert "0 error(s)" in capsys.readouterr().out
 
-    def test_list_rules_tags_flow_scope(self, tmp_path, capsys):
+    def test_retired_rl2xx_ids_are_unknown(self, tmp_path, capsys):
+        root = write_mini_package(tmp_path)
+        assert main(["--flows", "--select", "RL203", str(root)]) == 2
+        assert "unknown rule id(s): RL203" in capsys.readouterr().err
+
+    def test_list_rules_has_no_flow_scope(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL201", "RL202", "RL203", "RL204", "RL205"):
-            assert rule_id in out
-        assert "[flow]" in out
-
-    def test_flows_jobs_output_byte_identical(self, tmp_path, capsys):
-        root = write_flow_package(tmp_path)
-        assert main(["--flows", "--jobs", "1", "--output", "json", str(root)]) == 1
-        serial = capsys.readouterr().out
-        assert main(["--flows", "--jobs", "2", "--output", "json", str(root)]) == 1
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-
-    def test_flows_sarif_carries_rl2xx(self, tmp_path, capsys):
-        root = write_flow_package(tmp_path)
-        assert main(["--flows", "--output", "sarif", str(root)]) == 1
-        log = json.loads(capsys.readouterr().out)
-        (run,) = log["runs"]
-        assert any(r["ruleId"] == "RL203" for r in run["results"])
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"RL201", "RL202", "RL203", "RL204", "RL205"} <= rule_ids
+        assert "[flow]" not in out
+        assert "RL2" not in out
 
 
 def write_sort_package(tmp_path):
@@ -427,8 +399,9 @@ class TestIncrementalCache:
         assert not (tmp_path / DEFAULT_CACHE_NAME).exists()
 
     def test_warm_flows_run_byte_identical(self, tmp_path, capsys):
-        root = write_flow_package(tmp_path)
-        assert main(["--flows", "--output", "json", str(root)]) == 1
+        # --flows shares --project's cache: a warm alias run replays it.
+        root = write_mini_package(tmp_path)
+        assert main(["--project", "--output", "json", str(root)]) == 1
         cold = capsys.readouterr().out
         assert main(["--flows", "--output", "json", str(root)]) == 1
         assert capsys.readouterr().out == cold
@@ -440,45 +413,3 @@ class TestIncrementalCache:
         (root / "core" / "user.py").write_text("X = 1\n", encoding="utf-8")
         assert main(["--project", str(root)]) == 0
         assert "0 error(s)" in capsys.readouterr().out
-
-
-class TestBaseline:
-    def test_update_then_lint_is_green(self, tmp_path, capsys):
-        root = write_mini_package(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["--project", "--update-baseline", "--baseline", str(baseline), str(root)]) == 0
-        assert "wrote 1 finding(s)" in capsys.readouterr().err
-        document = json.loads(baseline.read_text())
-        assert document["schema"] == BASELINE_SCHEMA
-        assert len(document["entries"]) == 1
-        # The baselined finding no longer fails the run...
-        assert main(["--project", "--baseline", str(baseline), str(root)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_new_finding_still_fails(self, tmp_path, capsys):
-        root = write_mini_package(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["--project", "--update-baseline", "--baseline", str(baseline), str(root)]) == 0
-        capsys.readouterr()
-        (root / "core" / "worse.py").write_text(
-            "from repro.dca import config as c2\n", encoding="utf-8"
-        )
-        assert main(["--project", "--baseline", str(baseline), str(root)]) == 1
-        out = capsys.readouterr().out
-        assert "worse.py" in out
-
-    def test_fixed_finding_reported_stale(self, tmp_path, capsys):
-        root = write_mini_package(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["--project", "--update-baseline", "--baseline", str(baseline), str(root)]) == 0
-        capsys.readouterr()
-        (root / "core" / "user.py").write_text("X = 1\n", encoding="utf-8")
-        assert main(["--project", "--baseline", str(baseline), str(root)]) == 0
-        assert "1 stale baseline entry" in capsys.readouterr().out
-
-    def test_corrupt_baseline_exits_two(self, tmp_path, capsys):
-        root = write_mini_package(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"schema": "other/9"}), encoding="utf-8")
-        assert main(["--project", "--baseline", str(baseline), str(root)]) == 2
-        assert "not a reprolint baseline" in capsys.readouterr().err

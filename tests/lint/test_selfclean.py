@@ -8,7 +8,6 @@ import repro
 from repro.lint import (
     LintEngine,
     lint_project,
-    registered_flow_rules,
     registered_project_rules,
     registered_rules,
 )
@@ -44,27 +43,11 @@ def test_tests_and_benchmarks_lint_clean():
 def test_project_rules_lint_clean():
     # The whole-program pass (RL101-RL106) over the real package: the
     # layering DAG holds, the import graph is acyclic, pool workers are
-    # picklable, and no RNG provenance leaks -- without a baseline.
+    # picklable, and no RNG provenance leaks.
     report = lint_project(
         [str(SRC_ROOT), str(REPO_ROOT / "tests"), str(REPO_ROOT / "benchmarks")],
         rule_ids=[],
         project_rule_ids=sorted(registered_project_rules()),
-        jobs=1,
-    )
-    assert report.analyzed_project
-    assert report.findings == [], "\n".join(f.format() for f in report.findings)
-
-
-def test_flow_rules_lint_clean():
-    # The flow-sensitive pass (RL201-RL205) over the real tree: no
-    # stream is shared across replicates, reused after hand-off, or
-    # unseeded in decision code, and no float reduction sees a
-    # provably-unordered operand.  The acceptance bar for --flows.
-    report = lint_project(
-        [str(SRC_ROOT), str(REPO_ROOT / "tests"), str(REPO_ROOT / "benchmarks")],
-        rule_ids=[],
-        project_rule_ids=[],
-        flow_rule_ids=sorted(registered_flow_rules()),
         jobs=1,
     )
     assert report.analyzed_project

@@ -6,6 +6,9 @@ crashing worker must surface a clear error naming the replicate seed."""
 import pytest
 
 from repro.core import (
+    AdaptiveReplication,
+    CredibilityManager,
+    CredibilityStrategy,
     IterativeRedundancy,
     ProgressiveRedundancy,
     TraditionalRedundancy,
@@ -18,19 +21,29 @@ from repro.parallel import (
     run_dca_replicates,
 )
 
+#: (name, strategy factory, DcaConfig overrides): the paper's three
+#: techniques, plus two strategies that carry per-node state across
+#: tasks, which each replicate must build for itself.  Spot checks feed
+#: the credibility manager's per-node records.
 SWEEP = [
-    ("IR", lambda: IterativeRedundancy(2)),
-    ("PR", lambda: ProgressiveRedundancy(5)),
-    ("TR", lambda: TraditionalRedundancy(3)),
+    ("IR", lambda: IterativeRedundancy(2), {}),
+    ("PR", lambda: ProgressiveRedundancy(5), {}),
+    ("TR", lambda: TraditionalRedundancy(3), {}),
+    (
+        "CRED",
+        lambda: CredibilityStrategy(CredibilityManager(), target=0.97),
+        dict(spot_check_rate=0.1),
+    ),
+    ("ADAPT", lambda: AdaptiveReplication(), {}),
 ]
 
 SMALL = dict(tasks=120, nodes=60, reliability=0.7, replications=3, seed=9)
 
 
-@pytest.mark.parametrize("name,factory", SWEEP, ids=[n for n, _ in SWEEP])
-def test_parallel_equals_serial(name, factory):
-    serial = run_dca_replicates(dca_replicate_specs(factory, **SMALL), jobs=1)
-    fanned = run_dca_replicates(dca_replicate_specs(factory, **SMALL), jobs=4)
+@pytest.mark.parametrize("name,factory,overrides", SWEEP, ids=[s[0] for s in SWEEP])
+def test_parallel_equals_serial(name, factory, overrides):
+    serial = run_dca_replicates(dca_replicate_specs(factory, **SMALL, **overrides), jobs=1)
+    fanned = run_dca_replicates(dca_replicate_specs(factory, **SMALL, **overrides), jobs=4)
     # Same seeds in the same order...
     assert [e.seed for e in serial] == [e.seed for e in fanned]
     # ...identical per-replicate metrics and fingerprints...

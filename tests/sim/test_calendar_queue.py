@@ -142,73 +142,10 @@ class TestCalendarBasics:
         assert queue.pop() is None
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-class TestReservedSeq:
-    """``reserve()`` + ``push(..., seq=)``: the deferred-push primitive."""
-
-    def test_reserved_push_pops_before_later_same_key_pushes(self, kind):
-        queue = make_queue(kind)
-        before = queue.push(1.0, _noop, payload="before")
-        seq = queue.reserve()
-        queue.push(1.0, _noop, payload="between-1")
-        queue.push(1.0, _noop, payload="between-2")
-        queue.push(1.0, _noop, priority=-1, payload="higher-priority")
-        deferred = queue.push(1.0, _noop, payload="deferred", seq=seq)
-        assert deferred.seq == seq
-        assert [queue.pop().payload for _ in range(5)] == [
-            "higher-priority",
-            "before",
-            "deferred",
-            "between-1",
-            "between-2",
-        ]
-
-    def test_unpushed_reservation_leaves_queue_unchanged(self, kind):
-        queue = make_queue(kind)
-        assert queue.reserve() == 0
-        assert len(queue) == 0 and not queue and queue.heap_size == 0
-        assert queue.pop() is None
-        event = queue.push(1.0, _noop)
-        queue.reserve()
-        assert len(queue) == 1 and queue.heap_size == 1
-        assert queue.pop() is event
-
-
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-@settings(max_examples=100, deadline=None)
-@given(
-    entries=st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 2), st.booleans()),
-        min_size=1,
-        max_size=60,
-    ),
-    data=st.data(),
-)
-def test_deferred_push_takes_its_reserved_place(kind, entries, data):
-    """Deferring any subset of pushes (in any order) leaves pop order as
-    if every event had been pushed in order."""
-    queue = make_queue(kind)
-    deferred = []
-    for index, (time, priority, defer) in enumerate(entries):
-        if defer:
-            deferred.append((queue.reserve(), float(time), priority, index))
-        else:
-            queue.push(float(time), _noop, priority=priority, payload=index)
-    for seq, time, priority, index in data.draw(st.permutations(deferred)):
-        queue.push(time, _noop, priority=priority, payload=index, seq=seq)
-    popped = [queue.pop().payload for _ in range(len(entries))]
-    expected = sorted(range(len(entries)), key=lambda i: (entries[i][0], entries[i][1], i))
-    assert popped == expected
-    assert queue.pop() is None
-
-
-#: One property-test operation: (opcode, operand).  ``reserve`` takes a
-#: sequence number; ``push_reserved`` later pushes an event with one.
+#: One property-test operation: (opcode, operand).
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(
-            ["push", "push_tie", "pop", "pop_due", "peek", "cancel", "reserve", "push_reserved"]
-        ),
+        st.sampled_from(["push", "push_tie", "pop", "pop_due", "peek", "cancel"]),
         st.integers(min_value=0, max_value=200),
     ),
     min_size=1,
@@ -223,14 +160,11 @@ def _drive(queue, ops):
     time), honoring the DES contract that nothing is scheduled in the
     past; ``push_tie`` schedules exactly at ``now`` to stress tie
     handling.  Cancels target a pseudo-randomly chosen live handle
-    (deterministically -- same choice for both queues).  ``reserve``
-    takes a sequence number, and ``push_reserved`` pushes a pending one
-    at ``now`` or later, as a deferred deadline does.
+    (deterministically -- same choice for both queues).
     """
     trace = []
     now = 0.0
     live = []
-    reserved = []
     for index, (op, operand) in enumerate(ops):
         if op == "push":
             event = queue.push(now + operand / 7.0, _noop, payload=index)
@@ -260,14 +194,6 @@ def _drive(queue, ops):
         elif op == "cancel" and live:
             victim = live.pop(operand % len(live))
             queue.cancel(victim)
-            trace.append(("len", len(queue)))
-        elif op == "reserve":
-            reserved.append(queue.reserve())
-            trace.append(("len", len(queue)))
-        elif op == "push_reserved" and reserved:
-            seq = reserved.pop(operand % len(reserved))
-            event = queue.push(now + (operand % 3) / 7.0, _noop, payload=index, seq=seq)
-            live.append(event)
             trace.append(("len", len(queue)))
     while True:
         event = queue.pop()

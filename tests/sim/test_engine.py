@@ -76,16 +76,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_after(-0.1, lambda ev: None)
 
-    def test_reserved_seq_fires_in_reservation_order(self):
-        sim = Simulator(seed=1)
-        order = []
-        seq = sim.reserve()
-        sim.schedule(1.0, lambda ev: order.append("scheduled"))
-        sim.schedule(1.0, lambda ev: order.append("reserved"), seq=seq)
-        assert sim.pending == 2
-        sim.run()
-        assert order == ["reserved", "scheduled"]
-
     def test_payload_reaches_callback(self):
         sim = Simulator(seed=1)
         got = []
@@ -246,8 +236,8 @@ class TestCancelFiredEvent:
         assert sim.pending == 0
 
     def test_dca_churn_live_count_matches_queue(self, queue):
-        # Departed nodes make the task server push deferred deadlines
-        # into reserved places in the event order.
+        # Departed nodes make the task server re-queue deadlines at the
+        # place their job already holds in the event order.
         simulation = DcaSimulation(
             DcaConfig(
                 strategy=IterativeRedundancy(2),

@@ -163,20 +163,25 @@ class TestInsert:
         assert [queue.pop().payload for _ in range(2)] == ["push", "insert"]
 
     def test_reserved_seq_slots_in_at_reservation_order(self, kind):
+        # The seq an event already holds reserves its place: re-queued
+        # after a same-key push, it still pops first.
         queue = make_queue(kind)
-        reserved = queue.reserve()
+        event = Event(1.0, 0, -1, _noop, "job")
+        queue.insert(event)
+        assert queue.pop() is event
         queue.push(2.0, _noop, payload="pushed later")
-        queue.insert(Event(2.0, 0, reserved, _noop, "reserved"))
-        assert [queue.pop().payload for _ in range(2)] == ["reserved", "pushed later"]
+        event.time, event.fired = 2.0, False
+        queue.insert(event)
+        assert event.seq == 0
+        assert [queue.pop().payload for _ in range(2)] == ["job", "pushed later"]
 
     def test_a_popped_event_can_be_requeued_in_place(self, kind):
         queue = make_queue(kind)
-        reserved = queue.reserve()
         event = Event(1.0, 0, -1, _noop, "job")
         queue.insert(event)
         queue.push(5.0, _noop, payload="tie")
         assert queue.pop() is event
-        event.time, event.seq, event.fired = 5.0, reserved, False
+        event.time, event.fired = 5.0, False
         queue.insert(event)
         assert [queue.pop().payload for _ in range(2)] == ["job", "tie"]
         assert not queue

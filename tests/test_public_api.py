@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.volunteer",
     "repro.grid",
     "repro.mapreduce",
-    "repro.replication",
     "repro.experiments",
     "repro.parallel",
     "repro.bench",
