@@ -19,6 +19,10 @@ Speedups below 1.0 within tolerance are reported but pass: baselines are
 a *floor*, refreshed deliberately (rerun the suites and commit the new
 reports) rather than ratcheted automatically.
 
+A gate whose timing sits inside host noise judges :func:`median_report`
+of several separate runs instead of one run (CI does so for the
+``obs_overhead`` NullRecorder ratio).
+
 A baseline recorded on another machine is still judged, by the same
 gates, but the verdict line names every difference in
 :data:`MACHINE_KEYS` (a key the baseline lacks shows as ``unknown``), so
@@ -29,8 +33,9 @@ one.
 from __future__ import annotations
 
 import json
+import statistics
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.bench.report import machine_info, report_path
 
@@ -39,6 +44,7 @@ __all__ = [
     "compare_to_baseline",
     "format_comparison",
     "machine_mismatch",
+    "median_report",
 ]
 
 #: Default allowed relative slowdown before a timing counts as a regression.
@@ -132,6 +138,40 @@ def compare_report(
     comparison["problems"].extend(regressions)
     comparison["verdict"] = "regression" if regressions else "ok"
     return comparison
+
+
+def median_report(reports: Sequence[dict]) -> dict:
+    """One report standing for several separate runs of one suite.
+
+    It is the first run's report with every timing's seconds replaced by
+    their median over ``reports``, and ``runs`` set to their number, so
+    :func:`compare_report` judges the typical run rather than one run.
+
+    Raises:
+        ValueError: if ``reports`` is empty, or its runs differ in suite,
+            seed, size, parameters or checksum.
+    """
+    if not reports:
+        raise ValueError("median_report needs at least one report")
+    first = reports[0]
+    for report in reports[1:]:
+        for key in ("suite", *_COMPAT_KEYS, "checksum"):
+            if report.get(key) != first.get(key):
+                raise ValueError(
+                    f"runs differ in {key}: {first.get(key)!r} vs {report.get(key)!r}"
+                )
+    median = dict(first, runs=len(reports))
+    median["timings"] = {
+        name: {
+            **stats,
+            **{
+                field: statistics.median(float(r["timings"][name][field]) for r in reports)
+                for field in ("best_seconds", "mean_seconds", "total_seconds")
+            },
+        }
+        for name, stats in first.get("timings", {}).items()
+    }
+    return median
 
 
 def compare_to_baseline(

@@ -4,8 +4,8 @@ Baselines (:mod:`repro.bench.compare`) answer "did this PR regress?";
 the history answers "how did we get here?" -- one JSON line per suite
 run, appended by ``repro-bench --history PATH``, carrying just enough to
 plot a performance trajectory across commits: the suite, its gated
-best-seconds, the correctness checksum, the git revision, and a
-timestamp.
+best-seconds, the correctness checksum, the git revision, the CPU
+count, and a timestamp.
 
 Rows are schema-versioned independently of the report schema, so the
 trajectory tooling can tell eras apart; the file is plain JSONL so a
@@ -16,6 +16,7 @@ readers skip lines that fail to parse.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
@@ -47,13 +48,17 @@ def history_row(
     *,
     timestamp: str,
     git_sha: str,
+    nproc: Optional[int] = None,
 ) -> Dict[str, Any]:
     """One history row for a suite's report payload.
 
-    The timestamp is injected, never read from a clock here, so rows are
-    a pure function of their inputs (and tests can pin them).  A suite
-    that reports ``results.parallel_efficiency`` (``figure_sweep``) gets
-    it copied into the row, so pool scheduling shows in the trajectory.
+    The timestamp and ``nproc`` (the CPU count, recorded when given) are
+    injected, never read from the machine here, so rows are a pure
+    function of their inputs (and tests can pin them).  A suite that
+    reports ``results.parallel_efficiency`` (``figure_sweep``) or
+    ``results.telemetry_recorder_ratio`` (``obs_overhead``) gets it
+    copied into the row, so pool scheduling and the full recorder's cost
+    show in the trajectory.
     """
     row = {
         "schema_version": HISTORY_SCHEMA_VERSION,
@@ -69,9 +74,12 @@ def history_row(
         "git_sha": git_sha,
         "timestamp": timestamp,
     }
-    efficiency = payload.get("results", {}).get("parallel_efficiency")
-    if efficiency is not None:
-        row["parallel_efficiency"] = efficiency
+    if nproc is not None:
+        row["nproc"] = nproc
+    results = payload.get("results", {})
+    for key in ("parallel_efficiency", "telemetry_recorder_ratio"):
+        if results.get(key) is not None:
+            row[key] = results[key]
     return row
 
 
@@ -82,18 +90,22 @@ def append_history(
     *,
     timestamp: Optional[str] = None,
     git_sha: Optional[str] = None,
+    nproc: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Append one row for ``payload`` to the JSONL file at ``path``.
 
     Creates the file (and parents) on first use.  Returns the row
-    written.  ``timestamp`` defaults to the current UTC time in ISO-8601
-    and ``git_sha`` to the checkout's HEAD -- both injectable for tests.
+    written.  ``timestamp`` defaults to the current UTC time in
+    ISO-8601, ``git_sha`` to the checkout's HEAD and ``nproc`` to
+    :func:`os.cpu_count` -- all injectable for tests.
     """
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if git_sha is None:
         git_sha = current_git_sha()
-    row = history_row(name, payload, timestamp=timestamp, git_sha=git_sha)
+    if nproc is None:
+        nproc = os.cpu_count()
+    row = history_row(name, payload, timestamp=timestamp, git_sha=git_sha, nproc=nproc)
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("a", encoding="utf-8") as stream:

@@ -69,10 +69,15 @@ class DcaSimulation:
     def run(self) -> DcaReport:
         """Execute the computation and aggregate the report."""
         config = self.config
-        for task in Workload(config.tasks).tasks():
-            self.server.submit(task)
-        self.churn.start()
-        self.sim.run(until=config.max_time)
+        try:
+            for task in Workload(config.tasks).tasks():
+                self.server.submit(task)
+            self.churn.start()
+            self.sim.run(until=config.max_time)
+        except BaseException:
+            # A raising run skips record_totals, which declares otherwise.
+            self.server.declare_open_spans()
+            raise
         self.server.record_totals()
         if self.server.remaining_tasks == 0:
             self.churn.stop()

@@ -214,12 +214,15 @@ class TaskServer:
         :meth:`~repro.obs.recorder.Recorder.observe_many` in the order
         they arose, so bins and sums equal per-task observes bit for bit.
         A zero total records nothing, so a metric that never fired stays
-        absent.  Call it once per run; a run that raises never gets here
-        and records none of these (``dca.submit`` is still per call).
+        absent.  Call it once per run.  It first calls
+        :meth:`declare_open_spans`.  A run that raises never gets here and
+        records none of these (``dca.submit`` is still per call); the
+        code running it calls :meth:`declare_open_spans` alone.
         """
         rec = self._recorder
         if rec is None:
             return
+        self.declare_open_spans()
         records = self.records
         for name, total in (
             (DCA_DISPATCHES, self.total_jobs_dispatched),
@@ -243,6 +246,19 @@ class TaskServer:
         rec.observe_many(DCA_RESPONSE_TIME, [record.response_time for record in records])
         rec.observe_many(DCA_JOBS_PER_TASK, [record.jobs_used for record in records])
 
+    def declare_open_spans(self) -> None:
+        """Declare to the recorder the spans begun and not yet recorded.
+
+        A span is recorded only when it ends, so the spans still open
+        are the jobs in flight and the tasks without a verdict.  Call it
+        on every exit from the run loop: drained, at the horizon, or
+        raised.
+        """
+        rec = self._recorder
+        if rec is not None:
+            in_flight = self.total_jobs_dispatched - self.jobs_completed - self.jobs_timed_out
+            rec.declare_open_spans(in_flight + self._remaining)
+
     def submit(self, task: Task) -> None:
         """Accept a task and enqueue its first wave of jobs."""
         if task.task_id in self._states:
@@ -250,12 +266,8 @@ class TaskServer:
         state = _TaskState(task=task, submitted_at=self.sim.now)
         self._states[task.task_id] = state
         self._remaining += 1
-        rec = self._recorder
-        if rec is not None:
-            # Before the first wave enqueues, so submit precedes its
-            # dispatches in the stream (matching the legacy trace order).
-            rec.span_begin(DCA_TASK_SPAN, task.task_id, self.sim.now, {"task": task.task_id})
-            rec.count(DCA_SUBMITS)
+        if self._recorder is not None:
+            self._recorder.count(DCA_SUBMITS)
         self._enqueue_jobs(state, self.strategy.initial_jobs())
         state.waves = 1
 
@@ -273,7 +285,6 @@ class TaskServer:
         followups = self._followup_queue
         prioritize = self.prioritize_followups
         now = self.sim.now
-        rec = self._recorder
         timeout = self.timeout
         # Spot-checks divert assignments whenever a rate is set -- with a
         # credibility manager the outcomes feed its reputation tallies;
@@ -305,16 +316,6 @@ class TaskServer:
                 if state.first_dispatch is None:
                     state.first_dispatch = now
             self.total_jobs_dispatched += 1
-            if rec is not None:
-                rec.span_begin(
-                    DCA_JOB_SPAN,
-                    node.node_id,
-                    now,
-                    {"task": task.task_id, "node": node.node_id, "spot_check": state is None}
-                    if rec.keeps_spans
-                    else None,
-                )
-
             value = self._report(task, node, self._rng_failures)
             nominal = task.nominal_duration
             if nominal is None:
@@ -398,7 +399,9 @@ class TaskServer:
                 rec.event(
                     DCA_DECIDE_EVENT,
                     self.sim.now,
-                    {"task": state.task.task_id, "outstanding_more": state.vote.outstanding},
+                    {"task": state.task.task_id, "outstanding_more": state.vote.outstanding}
+                    if rec.keeps_events
+                    else None,
                 )
             return
         state.done = True
@@ -414,12 +417,18 @@ class TaskServer:
         )
         self.records.append(record)
         if rec is not None:
-            rec.span_end(
+            rec.span(
                 DCA_TASK_SPAN,
                 state.task.task_id,
+                state.submitted_at,
                 now,
-                {"task": state.task.task_id, "jobs": state.jobs_used, "waves": state.waves},
+                {"task": state.task.task_id, "jobs": state.jobs_used, "waves": state.waves}
+                if rec.keeps_spans
+                else None,
             )
+        # Here, with the span recorded, so declare_open_spans stays exact
+        # if task_finished raises.
+        self._remaining -= 1
         if self._node_aware:
             self.strategy.task_finished(
                 state.task.task_id,
@@ -430,7 +439,6 @@ class TaskServer:
                     waves=state.waves,
                 ),
             )
-        self._remaining -= 1
         if self._remaining == 0 and self.on_all_done is not None:
             self.on_all_done()
 
@@ -466,13 +474,15 @@ def _complete_fired(job: _Job) -> None:
     if rec is not None:
         # Before the vote folds in, so the completion precedes any
         # accept it causes (and survives StopSimulation downstream).
-        rec.span_end(
+        rec.span(
             DCA_JOB_SPAN,
             node.node_id,
+            job.assigned_at,
             server.sim.now,
             {
                 "task": state.task.task_id if state is not None else -1,
                 "node": node.node_id,
+                "spot_check": state is None,
                 "value": value,
                 "outcome": "complete",
             }
@@ -510,13 +520,15 @@ def _deadline_fired(job: _Job) -> None:
     node = job.node
     rec = server._recorder
     if rec is not None:
-        rec.span_end(
+        rec.span(
             DCA_JOB_SPAN,
             node.node_id,
+            job.assigned_at,
             server.sim.now,
             {
                 "task": job.state.task.task_id if job.state is not None else -1,
                 "node": node.node_id,
+                "spot_check": job.state is None,
                 "outcome": "timeout",
             }
             if rec.keeps_spans

@@ -49,10 +49,9 @@ def _attrs(attrs: Mapping[str, Any]) -> str:
 
 def canonical_span(span: Mapping[str, Any]) -> str:
     """A stable, byte-comparable rendering of one recorded span dict."""
-    unmatched = " unmatched" if span["unmatched"] else ""
     return (
         f"t={span['start']!r}..{span['end']!r} {span['name']} "
-        f"key={span['key']!r} [{_attrs(span['attrs'])}]{unmatched}"
+        f"key={span['key']!r} [{_attrs(span['attrs'])}]"
     )
 
 

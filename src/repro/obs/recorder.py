@@ -11,9 +11,14 @@ The contract with the hot paths (see ``docs/observability.md``):
 * All timestamps passed in are **simulated** time.  Recorders never read
   the wall clock (reprolint RL008 enforces this for the whole package;
   only ``repro/obs/host*.py`` may, for capture metadata).
-* Spans are keyed ``(name, key)``; begin/end pairs match on that key, so
-  overlapping spans of the same name are fine as long as keys are unique
-  among *open* spans (e.g. a node id: a node runs one job at a time).
+* A span is recorded once, when it ends, by :meth:`Recorder.span`;
+  the caller keeps its start.  A recorder never sees an open span: the
+  caller counts those and declares the count through
+  :meth:`Recorder.declare_open_spans` whenever its run loop exits.
+* The attrs dict given to :meth:`Recorder.span` or
+  :meth:`Recorder.event` is built for that call and kept without a
+  copy.  Past a cap (``keeps_spans`` / ``keeps_events`` false) the
+  caller passes ``None`` instead of building one.
 * A hot path may fold per-item histogram values into run totals and
   record them once through :meth:`Recorder.observe_many`, which equals
   the same values passed to :meth:`Recorder.observe` one by one.
@@ -22,9 +27,8 @@ The contract with the hot paths (see ``docs/observability.md``):
 from __future__ import annotations
 
 import numbers
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, DefaultDict, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import (
     CounterFamily,
@@ -43,24 +47,28 @@ class Recorder:
         enabled: False for no-op recorders.  Instrumented components
             check it once at attach time and drop disabled recorders, so
             per-event calls never happen when telemetry is off.
-        keeps_spans: False once span attributes would be discarded
-            unread.  A hot path may then pass ``attrs=None`` to
-            :meth:`span_begin`/:meth:`span_end` instead of building a
-            dict; it must still make both calls, since the recorder
-            tracks open spans by key.
+        keeps_spans / keeps_events: False once span / event
+            attributes would be discarded unread.  A hot path may then
+            pass ``attrs=None`` instead of building a dict; it still
+            makes the call, which counts the drop.
     """
 
     enabled = False
     keeps_spans = True
+    keeps_events = True
 
-    def event(self, name: str, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
+    def event(self, name: str, time: float, attrs: Optional[dict] = None) -> None:
         """Record an instant event at simulated ``time``."""
 
-    def span_begin(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
-        """Open the span ``(name, key)`` at simulated ``time``."""
+    def span(self, name: str, key: Any, start: float, end: float, attrs: Optional[dict] = None) -> None:
+        """Record the closed span ``(name, key)`` over ``[start, end]``.
 
-    def span_end(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
-        """Close the span ``(name, key)``; ``attrs`` merge over begin's."""
+        ``attrs`` is built for this call alone and kept without a copy:
+        the caller must not touch it afterwards.
+        """
+
+    def declare_open_spans(self, count: int) -> None:
+        """Declare ``count`` spans begun and not yet ended (the latest wins)."""
 
     def count(self, name: str, value: Number = 1, labels: Optional[Mapping[str, Any]] = None) -> None:
         """Increment the counter ``name``."""
@@ -93,18 +101,9 @@ class SpanRecord:
     start: float
     end: float
     attrs: Dict[str, Any] = field(default_factory=dict)
-    #: True when the end arrived without a matching begin (zero-length).
-    unmatched: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "key": self.key,
-            "start": self.start,
-            "end": self.end,
-            "attrs": dict(self.attrs),
-            "unmatched": self.unmatched,
-        }
+        return _span_dict(self.name, self.key, self.start, self.end, self.attrs)
 
 
 @dataclass
@@ -119,6 +118,12 @@ class EventRecord:
         return {"name": self.name, "time": self.time, "attrs": dict(self.attrs)}
 
 
+def _span_dict(name: str, key: Any, start: float, end: float, attrs: Optional[dict]) -> dict:
+    # Every span is recorded closed; the payload keeps "unmatched", which its digests cover.
+    attrs = dict(attrs) if attrs else {}
+    return {"name": name, "key": key, "start": start, "end": end, "attrs": attrs, "unmatched": False}
+
+
 class TelemetryRecorder(Recorder):
     """The buffering recorder: spans and events in memory, metrics in a
     :class:`~repro.obs.metrics.MetricsRegistry`.
@@ -128,10 +133,13 @@ class TelemetryRecorder(Recorder):
             records are *dropped and counted* (``dropped_spans`` /
             ``dropped_events``) rather than evicting old ones, so the
             retained prefix is deterministic; metric counts stay complete
-            regardless.  Records only grow, so once the span cap is
-            reached every span still open is bound to be dropped: from
-            then on a begin keeps just the key (``open_spans`` stays
-            exact) and an end counts the drop without touching attrs.
+            regardless.  Records only grow, so ``keeps_spans`` /
+            ``keeps_events`` turn False for good at the cap.
+
+    Kept spans and events are stored as plain tuples, ``(name, key,
+    start, end, attrs)`` and ``(name, time, attrs)``, holding the
+    caller's attrs dict as it is; :attr:`spans` and :attr:`events` build
+    the record objects on read, and :meth:`as_payload` the dicts.
     """
 
     enabled = True
@@ -149,50 +157,41 @@ class TelemetryRecorder(Recorder):
         self._counters: Dict[str, CounterFamily] = {}
         self._gauges: Dict[str, GaugeFamily] = {}
         self._histograms: Dict[str, HistogramFamily] = {}
-        self._spans: List[SpanRecord] = []
-        self._events: List[EventRecord] = []
-        #: Open spans, one table per span name: key -> (start, begin
-        #: attrs), or ``None`` if begun past the cap.
-        self._open: DefaultDict[str, Dict[Any, Optional[Tuple[float, Dict[str, Any]]]]] = (
-            defaultdict(dict)
-        )
+        self._spans: List[Tuple[str, Any, float, float, Optional[dict]]] = []
+        self._events: List[Tuple[str, float, Optional[dict]]] = []
         self._max_spans = max_spans
         self._max_events = max_events
-        #: Records only grow, so this turns False for good at the cap.
+        #: Records only grow, so these turn False for good at the cap.
         self.keeps_spans = max_spans is None or max_spans > 0
+        self.keeps_events = max_events is None or max_events > 0
+        #: Spans begun and not yet ended, as last declared (a span
+        #: reaches the recorder only when it ends).
+        self.open_spans = 0
         self.dropped_spans = 0
         self.dropped_events = 0
 
     # -- recording ------------------------------------------------------
 
-    def event(self, name: str, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
-        if self._max_events is not None and len(self._events) >= self._max_events:
+    def event(self, name: str, time: float, attrs: Optional[dict] = None) -> None:
+        if not self.keeps_events:
             self.dropped_events += 1
             return
-        self._events.append(EventRecord(name, time, dict(attrs) if attrs else {}))
+        events = self._events
+        events.append((name, time, attrs))
+        if len(events) == self._max_events:
+            self.keeps_events = False
 
-    def span_begin(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
-        if self.keeps_spans:
-            self._open[name][key] = (time, dict(attrs) if attrs else {})
-        else:
-            self._open[name][key] = None
-
-    def span_end(self, name: str, key: Any, time: float, attrs: Optional[Mapping[str, Any]] = None) -> None:
-        opened = self._open[name].pop(key, None)
+    def span(self, name: str, key: Any, start: float, end: float, attrs: Optional[dict] = None) -> None:
         if not self.keeps_spans:
             self.dropped_spans += 1
             return
-        # Below the cap no open span is drop-bound, so None means unmatched.
-        if opened is None:
-            start, merged = time, {}
-        else:
-            start, merged = opened
-        if attrs:
-            merged.update(attrs)
         spans = self._spans
-        spans.append(SpanRecord(name, key, start, time, merged, opened is None))
+        spans.append((name, key, start, end, attrs))
         if len(spans) == self._max_spans:
             self.keeps_spans = False
+
+    def declare_open_spans(self, count: int) -> None:
+        self.open_spans = count
 
     def count(self, name: str, value: Number = 1, labels: Optional[Mapping[str, Any]] = None) -> None:
         family = self._counters.get(name)
@@ -232,24 +231,25 @@ class TelemetryRecorder(Recorder):
     @property
     def spans(self) -> List[SpanRecord]:
         """Closed spans, in close order."""
-        return list(self._spans)
+        return [
+            SpanRecord(name, key, start, end, attrs or {})
+            for name, key, start, end, attrs in self._spans
+        ]
 
     @property
     def events(self) -> List[EventRecord]:
         """Instant events, in record order."""
-        return list(self._events)
-
-    @property
-    def open_spans(self) -> int:
-        """Spans begun but not yet ended."""
-        return sum(map(len, self._open.values()))
+        return [EventRecord(name, time, attrs or {}) for name, time, attrs in self._events]
 
     def as_payload(self) -> dict:
         """The picklable/JSON-ready form shipped in replicate envelopes."""
         return {
             "metrics": self._registry.snapshot(),
-            "spans": [span.as_dict() for span in self._spans],
-            "events": [event.as_dict() for event in self._events],
+            "spans": [_span_dict(*span) for span in self._spans],
+            "events": [
+                {"name": name, "time": time, "attrs": dict(attrs) if attrs else {}}
+                for name, time, attrs in self._events
+            ],
             "open_spans": self.open_spans,
             "dropped_spans": self.dropped_spans,
             "dropped_events": self.dropped_events,

@@ -10,6 +10,7 @@ from repro.bench.compare import (
     compare_report,
     compare_to_baseline,
     format_comparison,
+    median_report,
 )
 from repro.bench.report import machine_info, report_path, write_report
 
@@ -172,6 +173,47 @@ class TestCompareToBaseline:
     def test_quick_current_skips_full_only_baseline(self, tmp_path):
         write_report("unit", _payload(quick=False), output_dir=tmp_path)
         assert compare_to_baseline("unit", _payload(quick=True), tmp_path) is None
+
+
+class TestMedianReport:
+    def test_timings_are_the_median_run(self):
+        runs = [_payload(best=best) for best in (1.08, 1.0, 1.04, 1.01, 1.3)]
+        median = median_report(runs)
+        assert median["timings"]["case"] == {
+            "repeats": 1,
+            "best_seconds": 1.04,
+            "mean_seconds": 1.04,
+            "total_seconds": 1.04,
+        }
+        assert median["runs"] == 5
+        assert runs[0]["timings"]["case"]["best_seconds"] == 1.08
+
+    def test_one_noisy_run_does_not_fail_the_gate(self, tmp_path):
+        # A 2% gate on a ratio whose single runs read up to 8% above the
+        # baseline on a busy host: the median of five holds it.
+        write_report("unit", _payload(best=1.0), output_dir=tmp_path)
+
+        def verdict(report):
+            return compare_to_baseline("unit", report, tmp_path, tolerance=0.02)["verdict"]
+
+        runs = [_payload(best=best) for best in (1.081, 1.0, 1.04, 1.0, 1.01)]
+        assert verdict(runs[0]) == "regression"
+        assert verdict(median_report(runs)) == "ok"
+        slow = [_payload(best=best) for best in (1.081, 1.03, 1.04, 1.0, 1.05)]
+        assert verdict(median_report(slow)) == "regression"
+
+    @pytest.mark.parametrize(
+        "other",
+        [_payload(checksum="zzz"), _payload(seed=1), _payload(quick=False), _payload(params={})],
+        ids=["checksum", "seed", "size", "params"],
+    )
+    def test_runs_that_differ_are_rejected(self, other):
+        with pytest.raises(ValueError, match="runs differ"):
+            median_report([_payload(), other])
+
+    def test_no_runs_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one"):
+            median_report([])
 
 
 class TestCliGate:

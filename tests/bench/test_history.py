@@ -3,6 +3,7 @@
 JSONL rows, injected timestamps, and the ``--history`` CLI flag."""
 
 import json
+import os
 
 from repro.bench.cli import main as bench_main
 from repro.bench.history import (
@@ -45,6 +46,13 @@ class TestRow:
         row = history_row("figure_sweep", payload, timestamp="t", git_sha="s")
         assert row["parallel_efficiency"] == 0.9
         assert "parallel_efficiency" not in history_row("scale", PAYLOAD, timestamp="t", git_sha="s")
+
+    def test_telemetry_ratio_and_nproc_are_carried_when_given(self):
+        payload = dict(PAYLOAD, results={"telemetry_recorder_ratio": 1.31})
+        row = history_row("obs_overhead", payload, timestamp="t", git_sha="s", nproc=2)
+        assert (row["telemetry_recorder_ratio"], row["nproc"]) == (1.31, 2)
+        row = history_row("scale", PAYLOAD, timestamp="t", git_sha="s")
+        assert "telemetry_recorder_ratio" not in row and "nproc" not in row
 
     def test_timings_may_be_absent(self):
         row = history_row("x", {"seed": 0}, timestamp="t", git_sha="s")
@@ -111,3 +119,4 @@ class TestCliFlag:
             assert row["quick"] is True
             assert row["checksum"]
             assert row["wall_clock_seconds"] > 0
+            assert row["nproc"] == os.cpu_count()

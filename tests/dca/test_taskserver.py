@@ -14,9 +14,11 @@ from repro.core import (
 )
 from repro.dca import ByzantineCollusion, DcaConfig, DcaSimulation, run_dca
 from repro.dca.node import Node
-from repro.dca.taskserver import _Job
+from repro.dca.pool import NodePool
+from repro.dca.taskserver import TaskServer, _Job
 from repro.dca.workload import Workload
 from repro.obs import TelemetryRecorder
+from repro.sim.engine import Simulator
 from repro.sim.events import CalendarQueue, Event, EventQueue
 
 
@@ -260,6 +262,50 @@ class TestRunTotalCounters:
         assert simulation.server.total_jobs_dispatched > 0
         assert "dca.dispatch" not in recorder.registry.snapshot()
         assert "dca.submit" in recorder.registry.snapshot()
+
+    @pytest.mark.parametrize("max_spans", [None, 0, 3], ids=["uncapped", "cap-0", "cap-3"])
+    def test_a_run_that_raises_declares_its_open_spans(self, max_spans):
+        class FailingLater(TraditionalRedundancy):
+            calls = 0
+
+            def decide(self, vote):
+                FailingLater.calls += 1
+                if FailingLater.calls == 6:
+                    raise RuntimeError("strategy bug")
+                return super().decide(vote)
+
+        recorder = TelemetryRecorder(max_spans=max_spans)
+        simulation = DcaSimulation(
+            DcaConfig(strategy=FailingLater(3), tasks=10, nodes=10, seed=4),
+            recorder=recorder,
+        )
+        with pytest.raises(RuntimeError, match="strategy bug"):
+            simulation.run()
+        server = simulation.server
+        in_flight = server.total_jobs_dispatched - server.jobs_completed - server.jobs_timed_out
+        # 14 when each span was begun and ended on its own: 9 jobs in
+        # flight and 5 tasks without a verdict.
+        assert recorder.open_spans == in_flight + server.remaining_tasks == 14
+        assert len(recorder.spans) + recorder.dropped_spans == 24
+
+    def test_a_bare_server_declares_open_spans_in_record_totals(self):
+        # Run without DcaSimulation and cut at a horizon: record_totals,
+        # which code running a bare server calls itself, declares what
+        # is still open.
+        recorder = TelemetryRecorder()
+        sim = Simulator(seed=1, recorder=recorder)
+        pool = NodePool()
+        for _ in range(5):
+            pool.join(Node(node_id=pool.allocate_id(), reliability=0.7))
+        server = TaskServer(sim, pool, IterativeRedundancy(2), timeout=3.0)
+        for task in Workload(12).tasks():
+            server.submit(task)
+        sim.run(until=4.0)
+        assert recorder.open_spans == 0
+        server.record_totals()
+        # Pinned when each span was begun and ended on its own.
+        assert recorder.open_spans == 12
+        assert len(recorder.spans) == 22
 
 
 class TestSpotChecking:

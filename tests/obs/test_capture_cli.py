@@ -13,8 +13,7 @@ def _capture(submits: int, makespan: float) -> Capture:
     recorder.count("dca.submit", submits)
     recorder.gauge("dca.makespan", makespan)
     recorder.observe("dca.response_time", makespan / 2)
-    recorder.span_begin("dca.task", 0, 0.0)
-    recorder.span_end("dca.task", 0, makespan)
+    recorder.span("dca.task", 0, 0.0, makespan)
     return Capture.from_recorder(recorder, meta={"label": "unit"})
 
 

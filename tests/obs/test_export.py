@@ -17,8 +17,7 @@ from repro.obs import (
 @pytest.fixture()
 def capture():
     recorder = TelemetryRecorder()
-    recorder.span_begin("dca.job", 1, 0.0, {"node": 1})
-    recorder.span_end("dca.job", 1, 2.5, {"outcome": "complete"})
+    recorder.span("dca.job", 1, 0.0, 2.5, {"node": 1, "outcome": "complete"})
     recorder.event("dca.decide", 1.25, {"outstanding_more": 0})
     recorder.count("dca.submit", 3)
     recorder.gauge("dca.makespan", 2.5)

@@ -38,8 +38,8 @@ class TestNullRecorder:
     def test_every_method_is_a_noop(self):
         recorder = NullRecorder()
         recorder.event("e", 1.0)
-        recorder.span_begin("s", 1, 0.0)
-        recorder.span_end("s", 1, 2.0)
+        recorder.span("s", 1, 0.0, 2.0)
+        recorder.declare_open_spans(3)
         recorder.count("c")
         recorder.gauge("g", 5)
         recorder.observe("h", 0.5)
@@ -47,65 +47,65 @@ class TestNullRecorder:
 
 
 class TestTelemetryRecorder:
-    def test_span_pairing_on_name_and_key(self):
+    def test_span_is_recorded_closed_with_its_attrs(self):
         recorder = TelemetryRecorder()
-        recorder.span_begin("job", 1, 0.0, {"node": 1})
-        recorder.span_begin("job", 2, 0.5, {"node": 2})
-        recorder.span_end("job", 1, 2.0, {"outcome": "complete"})
-        assert recorder.open_spans == 1
-        (span,) = recorder.spans
-        assert (span.key, span.start, span.end) == (1, 0.0, 2.0)
-        assert span.attrs == {"node": 1, "outcome": "complete"}
-        assert span.unmatched is False
-
-    def test_unmatched_end_is_zero_length_and_flagged(self):
-        recorder = TelemetryRecorder()
-        recorder.span_end("job", 9, 3.0)
-        (span,) = recorder.spans
-        assert span.start == span.end == 3.0
-        assert span.unmatched is True
+        recorder.span("job", 1, 0.0, 2.0, {"node": 1, "outcome": "complete"})
+        recorder.span("job", 2, 0.5, 0.5)
+        first, second = recorder.spans
+        assert (first.name, first.key, first.start, first.end) == ("job", 1, 0.0, 2.0)
+        assert first.attrs == {"node": 1, "outcome": "complete"}
+        assert (second.start, second.end, second.attrs) == (0.5, 0.5, {})
+        assert [span["unmatched"] for span in recorder.as_payload()["spans"]] == [False, False]
 
     def test_span_cap_drops_and_counts(self):
         recorder = TelemetryRecorder(max_spans=1)
         for key in (1, 2, 3):
-            recorder.span_begin("job", key, 0.0)
-            recorder.span_end("job", key, 1.0)
-        assert len(recorder.spans) == 1
+            recorder.span("job", key, 0.0, 1.0, {"node": key} if recorder.keeps_spans else None)
+        assert [(span.key, span.attrs) for span in recorder.spans] == [(1, {"node": 1})]
         assert recorder.dropped_spans == 2
-
-    def test_spans_begun_past_the_cap_keep_open_spans_exact(self):
-        recorder = TelemetryRecorder(max_spans=1)
-        recorder.span_begin("job", 1, 0.0, {"node": 1})
-        recorder.span_begin("job", 2, 0.0, {"node": 2})
-        recorder.span_end("job", 1, 1.0)
-        # The cap is now full: later begins keep only the key.
-        recorder.span_begin("job", 3, 1.0, {"node": 3})
-        assert recorder.open_spans == 2
-        recorder.span_end("job", 3, 2.0, {"outcome": "complete"})
-        recorder.span_end("job", 2, 2.0, {"outcome": "complete"})
-        recorder.span_end("job", 4, 2.0)  # unmatched, and past the cap
-        assert recorder.open_spans == 0
-        assert recorder.dropped_spans == 3
-        (span,) = recorder.spans
-        assert (span.key, span.attrs) == (1, {"node": 1})
 
     def test_keeps_spans_turns_false_at_the_cap(self):
         recorder = TelemetryRecorder(max_spans=2)
         for key in (1, 2):
             assert recorder.keeps_spans
-            recorder.span_begin("job", key, 0.0)
-            recorder.span_end("job", key, 1.0)
+            recorder.span("job", key, 0.0, 1.0)
         assert not recorder.keeps_spans
         assert TelemetryRecorder().keeps_spans
         assert not TelemetryRecorder(max_spans=0).keeps_spans
 
-    def test_begin_attrs_are_copied_below_the_cap(self):
-        recorder = TelemetryRecorder(max_spans=5)
-        attrs = {"node": 1}
-        recorder.span_begin("job", 1, 0.0, attrs)
-        attrs["node"] = 99
-        recorder.span_end("job", 1, 1.0)
-        assert recorder.spans[0].attrs == {"node": 1}
+    def test_keeps_events_turns_false_at_the_cap(self):
+        recorder = TelemetryRecorder(max_events=2)
+        for i in range(2):
+            assert recorder.keeps_events
+            recorder.event("decide", float(i), {"task": i})
+        assert not recorder.keeps_events
+        recorder.event("decide", 2.0)
+        assert recorder.dropped_events == 1
+        assert [event.attrs for event in recorder.events] == [{"task": 0}, {"task": 1}]
+        assert TelemetryRecorder().keeps_events
+        assert not TelemetryRecorder(max_events=0).keeps_events
+
+    def test_attrs_are_kept_without_a_copy(self):
+        # The caller builds each attrs dict for its one call, so the
+        # recorder stores it as is; the payload copies it on the way out.
+        recorder = TelemetryRecorder()
+        span_attrs, event_attrs = {"node": 1}, {"task": 1}
+        recorder.span("job", 1, 0.0, 1.0, span_attrs)
+        recorder.event("decide", 0.5, event_attrs)
+        assert recorder.spans[0].attrs is span_attrs
+        assert recorder.events[0].attrs is event_attrs
+        payload = recorder.as_payload()
+        assert payload["spans"][0]["attrs"] == span_attrs
+        assert payload["spans"][0]["attrs"] is not span_attrs
+        assert payload["events"][0]["attrs"] is not event_attrs
+
+    def test_open_spans_is_the_latest_declaration(self):
+        recorder = TelemetryRecorder(max_spans=0)
+        assert recorder.open_spans == recorder.as_payload()["open_spans"] == 0
+        recorder.declare_open_spans(5)
+        recorder.declare_open_spans(2)
+        recorder.span("job", 1, 0.0, 1.0)
+        assert recorder.open_spans == recorder.as_payload()["open_spans"] == 2
 
     @pytest.mark.parametrize("cap", ["max_spans", "max_events"])
     @pytest.mark.parametrize(
@@ -123,34 +123,11 @@ class TestTelemetryRecorder:
         import numpy as np
 
         recorder = TelemetryRecorder(max_spans=np.int64(1), max_events=0)
-        recorder.span_begin("job", 1, 0.0)
-        recorder.span_end("job", 1, 1.0)
-        recorder.span_begin("job", 2, 1.0)
-        recorder.span_end("job", 2, 2.0)
+        recorder.span("job", 1, 0.0, 1.0)
+        recorder.span("job", 2, 1.0, 2.0)
         recorder.event("e", 0.0)
         assert (len(recorder.spans), recorder.dropped_spans) == (1, 1)
         assert (len(recorder.events), recorder.dropped_events) == (0, 1)
-
-    def test_open_spans_are_kept_per_name(self):
-        # One key may be open under two names at once; each end closes
-        # only its own name's span.
-        recorder = TelemetryRecorder()
-        recorder.span_begin("job", 7, 0.0, {"who": "job"})
-        recorder.span_begin("task", 7, 0.5, {"who": "task"})
-        assert recorder.open_spans == 2
-        recorder.span_end("task", 7, 1.0)
-        assert recorder.open_spans == 1
-        recorder.span_end("job", 7, 2.0)
-        recorder.span_end("job", 7, 3.0)  # already closed: unmatched
-        assert recorder.open_spans == 0
-        assert [
-            (span.name, span.start, span.end, span.attrs, span.unmatched)
-            for span in recorder.spans
-        ] == [
-            ("task", 0.5, 1.0, {"who": "task"}, False),
-            ("job", 0.0, 2.0, {"who": "job"}, False),
-            ("job", 3.0, 3.0, {}, True),
-        ]
 
     def test_event_cap_drops_and_counts(self):
         recorder = TelemetryRecorder(max_events=2)
@@ -214,8 +191,7 @@ class TestTelemetryRecorder:
 
     def test_payload_shape(self):
         recorder = TelemetryRecorder()
-        recorder.span_begin("s", 1, 0.0)
-        recorder.span_end("s", 1, 1.0)
+        recorder.span("s", 1, 0.0, 1.0)
         recorder.event("e", 0.5, {"k": "v"})
         recorder.count("c")
         payload = recorder.as_payload()
@@ -265,5 +241,7 @@ class TestBaseRecorder:
         recorder.count("c")
         recorder.event("e", 0.0)
         recorder.observe_many("h", [1.0, 2.0])
+        recorder.span("s", 1, 0.0, 1.0)
+        recorder.declare_open_spans(1)
         assert recorder.enabled is False
-        assert recorder.keeps_spans
+        assert recorder.keeps_spans and recorder.keeps_events
