@@ -46,7 +46,7 @@ def whitewashing_demo() -> None:
         ("evading + whitewashing", True, True),
     )
     for label, evading, whitewash in regimes:
-        manager = CredibilityManager(assumed_fault_fraction=0.3, spot_check_rate=0.15)
+        manager = CredibilityManager(assumed_fault_fraction=0.3)
         strategy = CredibilityStrategy(manager, target=0.97)
         simulation = DcaSimulation(
             DcaConfig(
@@ -55,7 +55,7 @@ def whitewashing_demo() -> None:
                 nodes=300,
                 reliability=population,
                 seed=11,
-                spot_check_rate=manager.spot_check_rate,
+                spot_check_rate=0.15,
                 failure_model=SpotCheckEvading(ByzantineCollusion()) if evading else None,
             )
         )

@@ -52,21 +52,12 @@ class CredibilityManager:
         assumed_fault_fraction: Sarmenta's ``f`` -- the presumed fraction
             of faulty nodes in the population; bounds how much trust a
             brand-new node gets (Cr = 1 - f).
-        spot_check_rate: Fraction of job slots the server diverts to
-            spot-checks (overhead the ablation measures).
     """
 
-    def __init__(
-        self,
-        assumed_fault_fraction: float = 0.3,
-        spot_check_rate: float = 0.1,
-    ) -> None:
+    def __init__(self, assumed_fault_fraction: float = 0.3) -> None:
         if not 0.0 < assumed_fault_fraction < 1.0:
             raise ValueError("assumed fault fraction must lie in (0, 1)")
-        if not 0.0 <= spot_check_rate < 1.0:
-            raise ValueError("spot-check rate must lie in [0, 1)")
         self.assumed_fault_fraction = assumed_fault_fraction
-        self.spot_check_rate = spot_check_rate
         self._nodes: Dict[int, NodeRecord] = {}
         self.spot_checks_issued = 0
         self.blacklist_events = 0
@@ -158,6 +149,11 @@ class CredibilityStrategy(RedundancyStrategy):
     substrate must attach node ids to outcomes.  Unlike iterative
     redundancy, the decision depends on *who* voted, so the strategy keeps
     a per-task map of supporters/dissenters.
+
+    Spot checks, the only thing that raises a node's credibility, come
+    from the substrate: a DES run issues them at
+    ``DcaConfig.spot_check_rate`` (default 0).  Without them every node
+    keeps the fresh-node credibility ``1 - f``.
     """
 
     def __init__(

@@ -94,7 +94,7 @@ def whitewash_ablation(tasks: int = 3_000, seed: int = 17) -> str:
     population = TwoClassReliability(good_r=0.95, faulty_r=0.0, faulty_fraction=0.3)
 
     def credibility_run(evading: bool, whitewash: bool):
-        manager = CredibilityManager(assumed_fault_fraction=0.3, spot_check_rate=0.15)
+        manager = CredibilityManager(assumed_fault_fraction=0.3)
         strategy = CredibilityStrategy(manager, target=0.97)
         failure_model = SpotCheckEvading(ByzantineCollusion()) if evading else None
         simulation = DcaSimulation(
@@ -104,7 +104,7 @@ def whitewash_ablation(tasks: int = 3_000, seed: int = 17) -> str:
                 nodes=300,
                 reliability=population,
                 seed=seed,
-                spot_check_rate=manager.spot_check_rate,
+                spot_check_rate=0.15,
                 failure_model=failure_model,
             )
         )

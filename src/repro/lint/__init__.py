@@ -24,7 +24,6 @@ Run the linter with ``python -m repro.lint [paths]`` or the
 ``repro-lint`` console script; see ``docs/linting.md``.
 """
 
-from repro.lint.cache import LintCache, ruleset_signature
 from repro.lint.config import LintConfig, load_config
 from repro.lint.engine import LintEngine, ModuleContext, Rule, register, registered_rules
 from repro.lint.findings import Finding, Severity
@@ -61,7 +60,6 @@ __all__ = [
     "Divergence",
     "Finding",
     "ImportGraph",
-    "LintCache",
     "LintConfig",
     "LintEngine",
     "ModuleContext",
@@ -85,7 +83,6 @@ __all__ = [
     "registered_project_rules",
     "registered_rules",
     "render_sarif",
-    "ruleset_signature",
     "sanitize_dca",
     "sanitize_grid",
     "sanitize_mapreduce",

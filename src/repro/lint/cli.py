@@ -1,20 +1,20 @@
 """Command-line entry point: ``python -m repro.lint`` / ``repro-lint``.
 
-Two modes:
+Two modes, one run path (:func:`repro.lint.project.lint_project`):
 
 * **per-file** (default): run the RL0xx rules and RL304 (unstable
   sorts) over the given paths;
 * **project** (``--project``): additionally build the import graph and
   call graph over the ``repro`` package and run the whole-program RL1xx
-  rules, with per-file linting fanned out over ``--jobs`` worker
-  processes via :func:`repro.parallel.parallel_map`.  The retired
-  ``--flows`` and ``--tensors`` flags are still accepted, as
-  ``--project``.
+  rules.  The retired ``--flows`` and ``--tensors`` flags are still
+  accepted, as ``--project``.
 
-Project-mode runs keep an incremental cache (``.reprolint-cache.json``
-next to pyproject.toml) so warm runs skip unchanged files; ``--no-cache``
-opts out.  ``--fix`` rewrites the mechanical findings (RL004, RL006,
-RL304) in place before linting.
+In both modes per-file linting fans out over ``--jobs`` worker
+processes via :func:`repro.parallel.parallel_map`, and findings are
+globally sorted, so output is byte-identical for any ``--jobs``.  The
+linter keeps no state between runs; the retired ``--no-cache`` flag is
+accepted and does nothing.  ``--fix`` rewrites the mechanical findings
+(RL004, RL006, RL304) in place before linting.
 
 Output formats (``--output`` / legacy ``-f/--format``): ``text``,
 ``json`` (schema-versioned payload), and ``sarif`` (SARIF 2.1.0, for CI
@@ -36,11 +36,10 @@ import traceback
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.cache import DEFAULT_CACHE_NAME, LintCache, ruleset_signature
 from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import LintEngine, registered_rules
+from repro.lint.engine import registered_rules
 from repro.lint.findings import Finding, Severity
-from repro.lint.project import ProjectReport, lint_project
+from repro.lint.project import lint_project
 from repro.lint.project_rules import registered_project_rules
 from repro.lint.sarif import render_sarif
 
@@ -93,19 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
         "defaults, RL006 swallowed exceptions, RL304 unstable sorts) "
         "before linting",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache "
-        f"({DEFAULT_CACHE_NAME}, project mode only)",
-    )
+    # The linter keeps no cache; --no-cache is still accepted, as a no-op,
+    # so existing invocations keep working.
+    parser.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "-j",
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for per-file linting in --project mode "
+        help="worker processes for per-file linting "
         "(default: 1; output is byte-identical for any N)",
     )
     parser.add_argument(
@@ -196,14 +192,6 @@ def _rule_metadata(rule_ids: Sequence[str]) -> List[Tuple[str, str, Severity]]:
     ]
 
 
-def _cache_path(config: LintConfig) -> Path:
-    """The incremental cache lives next to the resolved pyproject.toml
-    (so one cache serves the repo), or in the cwd without one."""
-    if config.source != "<defaults>":
-        return Path(config.source).parent / DEFAULT_CACHE_NAME
-    return Path(DEFAULT_CACHE_NAME)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -232,6 +220,8 @@ def _run(args: argparse.Namespace) -> int:
         if retired:
             print(f"repro-lint: {flag} is retired; running as --project", file=sys.stderr)
             args.project = True
+    if args.no_cache:
+        print("repro-lint: --no-cache is retired; the linter keeps no cache", file=sys.stderr)
 
     if args.select is not None and not _split_rules(args.select):
         print("repro-lint: --select got no rule ids", file=sys.stderr)
@@ -282,33 +272,17 @@ def _run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    if args.project:
-        cache = None
-        if not args.no_cache:
-            signature = ruleset_signature(_tool_version(), file_rule_ids, project_rule_ids)
-            cache = LintCache.load(_cache_path(config), signature)
-        report = lint_project(
-            paths,
-            rule_ids=file_rule_ids,
-            project_rule_ids=project_rule_ids,
-            jobs=args.jobs,
-            cache=cache,
-        )
-        if project_rule_ids and not report.analyzed_project:
-            print(
-                "repro-lint: --project found no importable 'repro' package "
-                "under the given paths; RL1xx rules were skipped",
-                file=sys.stderr,
-            )
-    else:
-        engine = LintEngine(
-            rules=[file_registry[rule_id]() for rule_id in file_rule_ids]
-        )
-        findings = engine.lint_paths(paths)
-        report = ProjectReport(
-            findings=findings,
-            files_checked=engine.files_checked,
-            suppressed=engine.suppressed_count,
+    report = lint_project(
+        paths,
+        rule_ids=file_rule_ids,
+        project_rule_ids=project_rule_ids,
+        jobs=args.jobs,
+    )
+    if project_rule_ids and not report.analyzed_project:
+        print(
+            "repro-lint: --project found no importable 'repro' package "
+            "under the given paths; RL1xx rules were skipped",
+            file=sys.stderr,
         )
 
     findings = report.findings

@@ -202,9 +202,3 @@ class LintEngine:
 
     def lint_file(self, path: Path) -> List[Finding]:
         return self.lint_source(path.read_text(encoding="utf-8"), str(path))
-
-    def lint_paths(self, paths: Sequence[str]) -> List[Finding]:
-        findings: List[Finding] = []
-        for path in iter_python_files(paths):
-            findings.extend(self.lint_file(path))
-        return findings

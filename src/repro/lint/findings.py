@@ -50,15 +50,3 @@ class Finding:
             "severity": self.severity.value,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`as_dict` (used by the incremental cache)."""
-        return cls(
-            path=payload["path"],
-            line=payload["line"],
-            col=payload["col"],
-            rule_id=payload["rule"],
-            severity=Severity(payload["severity"]),
-            message=payload["message"],
-        )

@@ -1,12 +1,13 @@
-"""Project-mode analysis: per-file rules fanned out over the process
-pool, plus the whole-program rules (RL101-RL106).
+"""The one lint run path: per-file rules fanned out over the process
+pool, plus, in project mode, the whole-program rules (RL101-RL106).
 
-This is the linter dogfooding PR 2's replication engine: each file is an
-independent work item, so per-file linting runs through
-:func:`repro.parallel.parallel_map` with the same ordering guarantee the
-experiment harnesses rely on -- ``--jobs N`` output is byte-identical to
-``--jobs 1`` because results come back in submission order and findings
-are globally sorted before rendering.
+Both CLI modes go through :func:`lint_project`; per-file mode just
+selects no whole-program rules.  Each file is an independent work item,
+so per-file linting runs through :func:`repro.parallel.parallel_map`,
+the same replication engine the experiment harnesses use, with the same
+ordering guarantee: results come back in submission order and findings
+are globally sorted, so ``--jobs N`` output is byte-identical to
+``--jobs 1``.
 
 The whole-program pass (import graph, call graph, project rules) runs
 in the parent process: it is one indivisible analysis over the
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.cache import LintCache, file_sha, tree_hash
 from repro.lint.engine import LintEngine, iter_python_files, registered_rules, suppressions
 from repro.lint.findings import Finding
 from repro.lint.graph import find_package_root, load_project
@@ -29,7 +29,7 @@ from repro.lint.project_rules import ProjectContext, registered_project_rules
 
 @dataclass
 class ProjectReport:
-    """Aggregated outcome of a project-mode run."""
+    """Aggregated outcome of a lint run."""
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
@@ -92,62 +92,25 @@ def lint_project(
     rule_ids: Sequence[str],
     project_rule_ids: Sequence[str],
     jobs: Optional[int] = 1,
-    cache: Optional[LintCache] = None,
 ) -> ProjectReport:
-    """Run the full project analysis: per-file rules (parallel) plus
-    whole-program rules (in-process).
+    """Lint ``paths``: per-file rules over :func:`parallel_map`, then the
+    whole-program rules (in-process) when ``project_rule_ids`` is
+    non-empty.  Findings come back globally sorted."""
+    # Imported here: ``repro.parallel`` pulls in the simulation packages,
+    # which ``import repro.lint`` alone should not pay for.
+    from repro.parallel import parallel_map
 
-    With ``cache``, per-file results are reused for files whose sha256
-    is unchanged and the whole-program pass is reused when the entire
-    tree hash matches; the findings are byte-identical either way.
-    """
     report = ProjectReport()
     files = [str(path) for path in iter_python_files(paths)]
     report.files_checked = len(files)
-    shas: Dict[str, str] = {}
-    if cache is not None:
-        shas = {path: file_sha(path) for path in files}
-        cache.prune(files)
-    if rule_ids and files:
-        pending: List[str] = []
-        for path in files:
-            hit = (
-                cache.get_file(path, shas[path]) if cache is not None else None
-            )
-            if hit is not None:
-                findings, suppressed = hit
-                report.findings.extend(findings)
-                report.suppressed += suppressed
-            else:
-                pending.append(path)
-        if pending:
-            items = [(path, tuple(rule_ids)) for path in pending]
-            if jobs is not None and jobs <= 1:
-                results = [_lint_file_worker(item) for item in items]
-            else:
-                from repro.parallel import parallel_map
-
-                results = parallel_map(_lint_file_worker, items, jobs=jobs)
-            for path, (findings, suppressed) in zip(pending, results):
-                report.findings.extend(findings)
-                report.suppressed += suppressed
-                if cache is not None:
-                    cache.put_file(path, shas[path], findings, suppressed)
+    items = [(path, tuple(rule_ids)) for path in files]
+    for findings, suppressed in parallel_map(_lint_file_worker, items, jobs=jobs):
+        report.findings.extend(findings)
+        report.suppressed += suppressed
     if project_rule_ids:
-        project_key = tree_hash(shas) if cache is not None else ""
-        hit = cache.get_project(project_key) if cache is not None else None
-        if hit is not None:
-            project_findings, suppressed, analyzed = hit
-        else:
-            project_findings, suppressed, analyzed = run_project_rules(paths, project_rule_ids)
-            if cache is not None:
-                cache.put_project(
-                    project_key, project_findings, suppressed, analyzed
-                )
+        project_findings, suppressed, analyzed = run_project_rules(paths, project_rule_ids)
         report.findings.extend(project_findings)
         report.suppressed += suppressed
         report.analyzed_project = analyzed
-    if cache is not None:
-        cache.save()
     report.findings.sort()
     return report

@@ -65,8 +65,6 @@ class TestCredibilityManager:
     def test_validation(self):
         with pytest.raises(ValueError):
             CredibilityManager(assumed_fault_fraction=0.0)
-        with pytest.raises(ValueError):
-            CredibilityManager(spot_check_rate=1.0)
 
 
 class TestCredibilityStrategy:

@@ -1,24 +1,22 @@
 """CLI behaviour: exit codes, text/JSON/SARIF output, rule selection,
-project mode (``--project``/``--jobs``) and its retired aliases
-(``--flows``, ``--tensors``), autofixes (``--fix``), the incremental
-cache (``--no-cache``), and the ``[tool.reprolint]`` config table
-(including the no-tomllib fallback)."""
+project mode (``--project``/``--jobs``), the retired flags
+(``--flows``, ``--tensors``, ``--no-cache``), autofixes (``--fix``),
+finding order across both modes, and the ``[tool.reprolint]`` config
+table (including the no-tomllib fallback)."""
 
 import json
 import textwrap
 
 import pytest
 
-from repro.lint.cache import DEFAULT_CACHE_NAME
 from repro.lint.cli import JSON_SCHEMA, JSON_SCHEMA_VERSION, main
 from repro.lint.config import LintConfig, _fallback_parse, load_config
 
 
 @pytest.fixture(autouse=True)
 def _isolated_cwd(tmp_path, monkeypatch):
-    """Run every CLI test from its own tmp dir: config auto-discovery
-    finds no repo pyproject.toml and the incremental cache lands in the
-    test's directory, never in the real repo."""
+    """Run every CLI test from its own tmp dir, so config auto-discovery
+    finds no repo pyproject.toml."""
     monkeypatch.chdir(tmp_path)
 
 CLEAN = 'GREETING = "hello"\n'
@@ -382,34 +380,54 @@ class TestFixFlag:
         assert "applied 0 fix(es) in 0 file(s)" in capsys.readouterr().err
 
 
-class TestIncrementalCache:
-    def test_warm_run_byte_identical_and_cached(self, tmp_path, capsys):
+class TestRetiredFlags:
+    @pytest.mark.parametrize("flag", ["--flows", "--tensors", "--no-cache"])
+    def test_retired_flag_changes_nothing_but_a_note(self, tmp_path, flag, capsys):
         root = write_mini_package(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
         assert main(["--project", "--output", "json", str(root)]) == 1
-        cold = capsys.readouterr().out
-        assert (tmp_path / DEFAULT_CACHE_NAME).is_file()
-        assert main(["--project", "--output", "json", str(root)]) == 1
-        warm = capsys.readouterr().out
-        assert warm == cold
+        plain = capsys.readouterr().out
+        assert main(["--project", flag, "--output", "json", str(root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        assert f"{flag} is retired" in captured.err
+        # The linter writes nothing next to the tree it lints.
+        assert sorted(tmp_path.rglob("*")) == before
 
-    def test_no_cache_writes_nothing(self, tmp_path, capsys):
-        root = write_mini_package(tmp_path)
-        assert main(["--project", "--no-cache", str(root)]) == 1
-        capsys.readouterr()
-        assert not (tmp_path / DEFAULT_CACHE_NAME).exists()
+    def test_no_cache_keeps_per_file_mode(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.py", VIOLATING)
+        assert main(["--no-cache", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"{path}:5: RL001" in captured.out
+        assert "RL101" not in captured.out
+        assert "--no-cache is retired; the linter keeps no cache" in captured.err
 
-    def test_warm_flows_run_byte_identical(self, tmp_path, capsys):
-        # --flows shares --project's cache: a warm alias run replays it.
-        root = write_mini_package(tmp_path)
-        assert main(["--project", "--output", "json", str(root)]) == 1
-        cold = capsys.readouterr().out
-        assert main(["--flows", "--output", "json", str(root)]) == 1
-        assert capsys.readouterr().out == cold
+    def test_help_hides_retired_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("--flows", "--tensors", "--no-cache"):
+            assert flag not in out
 
-    def test_edit_after_warm_run_changes_findings(self, tmp_path, capsys):
-        root = write_mini_package(tmp_path)
-        assert main(["--project", str(root)]) == 1
-        capsys.readouterr()
-        (root / "core" / "user.py").write_text("X = 1\n", encoding="utf-8")
-        assert main(["--project", str(root)]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
+
+class TestFindingOrder:
+    """Both modes run one path, so they order findings alike: globally
+    sorted, whatever order the paths were given in."""
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_modes_sort_findings_identically(self, tmp_path, output, capsys):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            write(tmp_path / name, "m.py", VIOLATING)
+        assert main(["--output", output, "b", "a"]) == 1
+        per_file = capsys.readouterr().out
+        assert main(["--project", "--output", output, "b", "a"]) == 1
+        project = capsys.readouterr().out
+        assert per_file == project
+        if output == "json":
+            findings = json.loads(per_file)["findings"]
+            paths = [finding["path"] for finding in findings]
+        else:
+            paths = [line.split(":")[0] for line in per_file.splitlines()[:-1]]
+        assert paths == ["a/m.py", "b/m.py"]

@@ -43,7 +43,7 @@ _CAPS = dict(max_spans=100, max_events=40)
 
 
 def _credibility():
-    return CredibilityStrategy(CredibilityManager(spot_check_rate=0.1), target=0.95)
+    return CredibilityStrategy(CredibilityManager(), target=0.95)
 
 
 #: (scenario, strategy factory, DcaConfig overrides, recorder caps,
