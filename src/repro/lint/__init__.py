@@ -10,11 +10,8 @@ Three complementary parts:
   defaults, float ``==`` on probabilities, swallowed exceptions on hot
   paths);
 * a whole-program pass (``repro-lint --project``; :mod:`repro.lint.graph`,
-  :mod:`repro.lint.callgraph`, :mod:`repro.lint.project_rules`) that sees
-  *between* modules: layering violations and import cycles, unpicklable
-  pool workers, shared mutable state reachable from workers, unordered
-  set iteration feeding reductions, RNG-stream provenance leaks, and
-  ``__init__`` export drift (RL101-RL106);
+  :mod:`repro.lint.project_rules`) that sees *between* modules:
+  layering violations and import cycles (RL101);
 * a runtime sanitizer (:mod:`repro.lint.sanitizer`) that replays a
   simulation from the same seed and pinpoints the first diverging
   recorded span, event, or task record when the static rules missed

@@ -4,10 +4,10 @@ Two modes, one run path (:func:`repro.lint.project.lint_project`):
 
 * **per-file** (default): run the RL0xx rules and RL304 (unstable
   sorts) over the given paths;
-* **project** (``--project``): additionally build the import graph and
-  call graph over the ``repro`` package and run the whole-program RL1xx
-  rules.  The retired ``--flows`` and ``--tensors`` flags are still
-  accepted, as ``--project``.
+* **project** (``--project``): additionally build the import graph over
+  the ``repro`` package and run the whole-program layering rule (RL101).
+  The retired ``--flows`` and ``--tensors`` flags are still accepted, as
+  ``--project``.
 
 In both modes per-file linting fans out over ``--jobs`` worker
 processes via :func:`repro.parallel.parallel_map`, and findings are
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--project",
         action="store_true",
-        help="whole-program mode: run the RL1xx cross-module rules too",
+        help="whole-program mode: run the RL101 layering rule too",
     )
     # The flow (RL2xx) and tensor (RL3xx) tiers are retired; their flags
     # are still accepted, as --project, so existing invocations keep
@@ -245,7 +245,7 @@ def _run(args: argparse.Namespace) -> int:
         if rule_id not in known_ids
     ]
     if unknown:
-        hint = "" if args.project else " (RL1xx rules need --project)"
+        hint = "" if args.project else " (RL101 needs --project)"
         print(
             f"repro-lint: unknown rule id(s): {', '.join(sorted(set(unknown)))}"
             + hint,
@@ -281,7 +281,7 @@ def _run(args: argparse.Namespace) -> int:
     if project_rule_ids and not report.analyzed_project:
         print(
             "repro-lint: --project found no importable 'repro' package "
-            "under the given paths; RL1xx rules were skipped",
+            "under the given paths; RL101 was skipped",
             file=sys.stderr,
         )
 

@@ -1,10 +1,9 @@
 """Module index and import graph for whole-program (``--project``) analysis.
 
 The per-file rules in :mod:`repro.lint.rules` see one module at a time;
-the project rules (RL101-RL106) need to see *between* modules: which
-package imports which, where the cycles are, which ``__init__`` exports
-drift from their definitions.  This module builds that substrate once
-per run:
+the project rule (RL101) needs to see *between* modules: which package
+imports which, and where the cycles are.  This module builds that
+substrate once per run:
 
 * :func:`find_package_root` locates the ``repro`` package among the lint
   targets (``src/repro`` itself, or a ``src`` directory containing it);

@@ -1,5 +1,5 @@
 """The one lint run path: per-file rules fanned out over the process
-pool, plus, in project mode, the whole-program rules (RL101-RL106).
+pool, plus, in project mode, the whole-program layering rule (RL101).
 
 Both CLI modes go through :func:`lint_project`; per-file mode just
 selects no whole-program rules.  Each file is an independent work item,
@@ -9,9 +9,9 @@ ordering guarantee: results come back in submission order and findings
 are globally sorted, so ``--jobs N`` output is byte-identical to
 ``--jobs 1``.
 
-The whole-program pass (import graph, call graph, project rules) runs
-in the parent process: it is one indivisible analysis over the
-``repro`` package, discovered among the lint targets by
+The whole-program pass (import graph, project rules) runs in the
+parent process: it is one indivisible analysis over the ``repro``
+package, discovered among the lint targets by
 :func:`~repro.lint.graph.find_package_root`.
 """
 
@@ -41,9 +41,10 @@ class ProjectReport:
 def _lint_file_worker(item: Tuple[str, Tuple[str, ...]]) -> Tuple[List[Finding], int]:
     """Lint one file with the selected per-file rules.
 
-    Module-level and picklable by construction (RL102's own demand): the
-    engine is rebuilt inside the worker from rule ids, and findings are
-    frozen dataclasses that pickle cleanly.
+    Module-level and picklable by construction, as every pool worker
+    must be (``ProcessPoolExecutor.submit`` pickles it): the engine is
+    rebuilt inside the worker from rule ids, and findings are frozen
+    dataclasses that pickle cleanly.
     """
     path, rule_ids = item
     registry = registered_rules()
@@ -65,7 +66,7 @@ def run_project_rules(
     if root is None:
         return [], 0, False
     graph = load_project(root)
-    project = ProjectContext.build(graph)
+    project = ProjectContext(graph)
     registry = registered_project_rules()
     silenced_by_path: Dict[str, Dict[int, set]] = {
         module.path: suppressions(module.context.source)

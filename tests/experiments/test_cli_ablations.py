@@ -160,6 +160,12 @@ class TestAblations:
         young = next(l for l in lines if "tau*" in l)
         assert float(young.split()[-3]) < float(none.split()[-3])
 
+    def test_main_through_the_pool_matches_serial(self):
+        # jobs=2 ships _run_section through a real process pool, which
+        # pickles it: an unpicklable worker fails here, and so does any
+        # section whose output depends on state a worker process lacks.
+        assert ablations.main("smoke", jobs=2) == ablations.main("smoke", jobs=1)
+
 
 class TestCliJsonPlot:
     def test_json_output_parses(self, capsys):

@@ -117,12 +117,11 @@ class TestOutputFormats:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
-            assert rule_id in out
-        # Project rules are listed too, tagged with their scope.
-        for rule_id in ("RL101", "RL102", "RL103", "RL104", "RL105", "RL106"):
-            assert rule_id in out
-        assert "[project]" in out and "[file]" in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [f"RL00{i}" for i in range(1, 9)] + ["RL101", "RL304"]
+        # The project rule is listed too, tagged with its scope.
+        assert "RL101  [error]  [project]" in out
+        assert "[file]" in out
 
     def test_sarif_output(self, tmp_path, capsys):
         path = write(tmp_path, "bad.py", VIOLATING)
@@ -239,10 +238,15 @@ class TestProjectMode:
         assert "0 error(s)" in capsys.readouterr().out
 
     def test_project_rules_need_project_flag(self, tmp_path, capsys):
-        # Without --project, RL1xx ids are unknown (and the hint says so).
+        # Without --project, RL101 is unknown (and the hint says so).
         root = write_mini_package(tmp_path)
         assert main(["--select", "RL101", str(root)]) == 2
         assert "--project" in capsys.readouterr().err
+
+    def test_retired_call_graph_rule_ids_are_unknown(self, tmp_path, capsys):
+        root = write_mini_package(tmp_path)
+        assert main(["--project", "--select", "RL104", str(root)]) == 2
+        assert "unknown rule id(s): RL104" in capsys.readouterr().err
 
     def test_without_project_flag_layering_unchecked(self, tmp_path):
         root = write_mini_package(tmp_path)
@@ -271,7 +275,7 @@ class TestFlowMode:
     """``--flows`` is a retired alias of ``--project``: the RL2xx tier is gone."""
 
     def test_flows_implies_project(self, tmp_path, capsys):
-        # RL1xx ids are selectable under --flows without --project.
+        # RL101 is selectable under --flows without --project.
         root = write_mini_package(tmp_path)
         assert main(["--flows", "--select", "RL101", str(root)]) == 1
         captured = capsys.readouterr()

@@ -1,6 +1,6 @@
-"""Positive and negative fixtures for each whole-program rule
-(RL101-RL106).  Fixtures are synthetic ``repro`` packages written to a
-temp directory and run through the real graph/callgraph pipeline."""
+"""Positive and negative fixtures for the whole-program layering rule
+(RL101).  Fixtures are synthetic ``repro`` packages written to a temp
+directory and run through the real import-graph pipeline."""
 
 import textwrap
 
@@ -13,16 +13,9 @@ from repro.lint.project_rules import (
     registered_project_rules,
 )
 
-#: A stub of the real fan-out entry point, so fixtures can submit workers.
-PARALLEL_STUB = """
-def parallel_map(worker, items, jobs=None, chunk_size=None):
-    return [worker(item) for item in items]
-"""
-
-
 def build_project(tmp_path, files):
     """Write ``{relative path: source}`` as a ``repro`` package and build
-    the full project context (import graph + call graph)."""
+    its project context (the import graph)."""
     root = tmp_path / "repro"
     root.mkdir(exist_ok=True)
     (root / "__init__.py").touch()
@@ -36,17 +29,13 @@ def build_project(tmp_path, files):
             if not init.exists():
                 init.touch()
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return ProjectContext.build(load_project(root))
+    return ProjectContext(load_project(root))
 
 
 def run_rule(tmp_path, rule_id, files):
     project = build_project(tmp_path, files)
     rule = registered_project_rules()[rule_id]()
     return sorted(rule.check(project))
-
-
-def messages(findings):
-    return [finding.message for finding in findings]
 
 
 class TestRL101Layering:
@@ -133,496 +122,9 @@ class TestRL101Layering:
             visit(pkg)
 
 
-class TestRL102ParallelSafety:
-    def test_lambda_worker_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL102",
-            {
-                "parallel/__init__.py": PARALLEL_STUB,
-                "experiments/run.py": """
-                from repro.parallel import parallel_map
-
-                def go(items):
-                    return parallel_map(lambda x: x + 1, items)
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "lambda" in findings[0].message
-
-    def test_nested_function_worker_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL102",
-            {
-                "parallel/__init__.py": PARALLEL_STUB,
-                "experiments/run.py": """
-                from repro.parallel import parallel_map
-
-                def go(items, offset):
-                    def shifted(x):
-                        return x + offset
-
-                    return parallel_map(shifted, items)
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "'shifted'" in findings[0].message
-        assert "closes over" in findings[0].message
-
-    def test_bound_method_worker_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL102",
-            {
-                "parallel/__init__.py": PARALLEL_STUB,
-                "experiments/run.py": """
-                from repro.parallel import parallel_map
-
-                class Harness:
-                    def work(self, x):
-                        return x
-
-                    def go(self, items):
-                        return parallel_map(self.work, items)
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "bound method self.work" in findings[0].message
-
-    def test_module_level_worker_clean(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL102",
-            {
-                "parallel/__init__.py": PARALLEL_STUB,
-                "experiments/run.py": """
-                from functools import partial
-
-                from repro.parallel import parallel_map
-
-                def work(x, offset=0):
-                    return x + offset
-
-                def go(items):
-                    return parallel_map(partial(work, offset=2), items)
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_executor_submit_lambda_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL102",
-            {
-                "experiments/run.py": """
-                from concurrent.futures import ProcessPoolExecutor
-
-                def go(items):
-                    with ProcessPoolExecutor() as pool:
-                        return [pool.submit(lambda x: x, item) for item in items]
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "lambda" in findings[0].message
-
-
-class TestRL103WorkerMutableState:
-    FILES = {
-        "parallel/__init__.py": PARALLEL_STUB,
-        "experiments/run.py": """
-        from repro.parallel import parallel_map
-
-        CACHE = {}
-
-        def work(x):
-            CACHE[x] = x * 2
-            return CACHE[x]
-
-        def go(items):
-            return parallel_map(work, items)
-        """,
-    }
-
-    def test_worker_mutating_module_global_flagged(self, tmp_path):
-        findings = run_rule(tmp_path, "RL103", self.FILES)
-        assert len(findings) == 1
-        assert "work() mutates module-level 'CACHE'" in findings[0].message
-
-    def test_transitive_callee_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL103",
-            {
-                "parallel/__init__.py": PARALLEL_STUB,
-                "experiments/run.py": """
-                from repro.parallel import parallel_map
-
-                SEEN = []
-
-                def record(x):
-                    SEEN.append(x)
-
-                def work(x):
-                    record(x)
-                    return x
-
-                def go(items):
-                    return parallel_map(work, items)
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "record() mutates module-level 'SEEN'" in findings[0].message
-
-    def test_local_mutation_clean(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL103",
-            {
-                "parallel/__init__.py": PARALLEL_STUB,
-                "experiments/run.py": """
-                from repro.parallel import parallel_map
-
-                def work(x):
-                    cache = {}
-                    cache[x] = x * 2
-                    return cache[x]
-
-                def go(items):
-                    return parallel_map(work, items)
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_mutation_outside_worker_closure_clean(self, tmp_path):
-        # The same mutation is fine when nothing reachable from a pool
-        # worker performs it.
-        findings = run_rule(
-            tmp_path,
-            "RL103",
-            {
-                "experiments/run.py": """
-                CACHE = {}
-
-                def remember(x):
-                    CACHE[x] = x
-                """,
-            },
-        )
-        assert findings == []
-
-
-class TestRL104UnorderedIteration:
-    def test_accumulation_over_set_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL104",
-            {
-                "core/agg.py": """
-                def total(values):
-                    seen = set(values)
-                    acc = 0.0
-                    for value in seen:
-                        acc += value
-                    return acc
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "accumulates into 'acc'" in findings[0].message
-
-    def test_rng_draw_per_element_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL104",
-            {
-                "core/agg.py": """
-                def sample(rng, nodes):
-                    pool = set(nodes)
-                    out = []
-                    for node in pool:
-                        out.append(rng.random())
-                    return out
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "draws from an RNG stream per element" in findings[0].message
-
-    def test_sum_over_set_literal_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL104",
-            {"core/agg.py": "TOTAL = sum({0.1, 0.2, 0.3})\n"},
-        )
-        assert len(findings) == 1
-        assert "sum() over an unordered set" in findings[0].message
-
-    def test_sorted_iteration_clean(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL104",
-            {
-                "core/agg.py": """
-                def total(values):
-                    seen = set(values)
-                    acc = 0.0
-                    for value in sorted(seen):
-                        acc += value
-                    return acc
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_plain_iteration_without_reduction_clean(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL104",
-            {
-                "core/agg.py": """
-                def check(values):
-                    for value in set(values):
-                        if value < 0:
-                            raise ValueError(value)
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_sorted_rebinding_clean(self, tmp_path):
-        # Regression: ``seen = sorted(seen)`` turns the set back into a
-        # deterministic list; the accumulation below must not fire.
-        findings = run_rule(
-            tmp_path,
-            "RL104",
-            {
-                "core/agg.py": """
-                def total(values):
-                    seen = set(values)
-                    seen = sorted(seen)
-                    acc = 0.0
-                    for value in seen:
-                        acc += value
-                    return acc
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_sorted_items_reduction_clean(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL104",
-            {
-                "core/agg.py": """
-                def total(weights):
-                    pairs = sorted(weights.items())
-                    acc = 0.0
-                    for _, weight in pairs:
-                        acc += weight
-                    return acc
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_demotion_fixed_point_keeps_real_sets(self, tmp_path):
-        # ``s = s | t`` keeps ``s`` a set (no demotion), so the
-        # accumulation over it still fires after the rebinding fix.
-        findings = run_rule(
-            tmp_path,
-            "RL104",
-            {
-                "core/agg.py": """
-                def total(a, b):
-                    s = set(a)
-                    t = set(b)
-                    s = s | t
-                    acc = 0.0
-                    for value in s:
-                        acc += value
-                    return acc
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "accumulates into 'acc'" in findings[0].message
-
-
-class TestRL105RngProvenance:
-    def test_stream_taking_function_minting_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL105",
-            {
-                "core/strat.py": """
-                import random
-
-                def decide(rng, p):
-                    private = random.Random(42)
-                    return rng.random() < p or private.random() < p
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "decide() is handed a registry stream (rng)" in findings[0].message
-
-    def test_seeded_fallback_for_absent_stream_clean(self, tmp_path):
-        # ``rng or random.Random(0)`` / ``if rng is None`` defaults are
-        # deterministic and allowed.
-        findings = run_rule(
-            tmp_path,
-            "RL105",
-            {
-                "core/strat.py": """
-                import random
-
-                def decide(p, rng=None):
-                    rng = rng or random.Random(0)
-                    return rng.random() < p
-
-                def decide2(p, rng=None):
-                    if rng is None:
-                        rng = random.Random(7)
-                    return rng.random() < p
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_unseeded_fallback_still_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL105",
-            {
-                "core/strat.py": """
-                import random
-
-                def decide(p, rng=None):
-                    rng = rng or random.Random()
-                    return rng.random() < p
-                """,
-            },
-        )
-        assert len(findings) == 1
-
-    def test_unseeded_rng_escaping_function_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL105",
-            {
-                "core/strat.py": """
-                import random
-
-                def make_rng():
-                    return random.Random()
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "unseeded random.Random() escapes make_rng()" in findings[0].message
-
-    def test_seeded_escape_clean(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL105",
-            {
-                "core/strat.py": """
-                import random
-
-                def make_rng(seed):
-                    return random.Random(seed)
-                """,
-            },
-        )
-        assert findings == []
-
-    def test_module_level_unseeded_rng_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL105",
-            {"core/strat.py": "import random\n\nGLOBAL_RNG = random.Random()\n"},
-        )
-        assert len(findings) == 1
-        assert "module-level random.Random()" in findings[0].message
-
-
-class TestRL106PublicApi:
-    def test_phantom_all_export_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL106",
-            {
-                "core/__init__.py": """
-                from repro.core.types import Decision
-
-                __all__ = ["Decision", "Phantom"]
-                """,
-                "core/types.py": "Decision = object\n",
-            },
-        )
-        assert len(findings) == 1
-        assert "__all__ exports 'Phantom'" in findings[0].message
-
-    def test_drifted_reimport_flagged(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL106",
-            {
-                "core/__init__.py": "from repro.core.types import Gone\n",
-                "core/types.py": "Decision = object\n",
-            },
-        )
-        assert len(findings) == 1
-        assert "does not define 'Gone'" in findings[0].message
-
-    def test_consistent_init_clean(self, tmp_path):
-        findings = run_rule(
-            tmp_path,
-            "RL106",
-            {
-                "core/__init__.py": """
-                from repro.core.types import Decision
-
-                __all__ = ["Decision", "types"]
-                """,
-                "core/types.py": "Decision = object\n",
-            },
-        )
-        assert findings == []
-
-    def test_non_init_modules_ignored(self, tmp_path):
-        # Drifted imports in ordinary modules are a runtime concern, not
-        # an API-contract one; RL106 only audits __init__ files.
-        findings = run_rule(
-            tmp_path,
-            "RL106",
-            {
-                "core/user.py": "from repro.core.types import Gone\n",
-                "core/types.py": "Decision = object\n",
-            },
-        )
-        assert findings == []
-
-
 def test_every_project_rule_has_registry_entry():
     registry = registered_project_rules()
-    assert sorted(registry) == [
-        "RL101",
-        "RL102",
-        "RL103",
-        "RL104",
-        "RL105",
-        "RL106",
-    ]
+    assert sorted(registry) == ["RL101"]
     for rule_id, cls in registry.items():
         assert cls.rule_id == rule_id
         assert cls.summary

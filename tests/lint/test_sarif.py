@@ -18,7 +18,7 @@ from repro.lint.sarif import (
 
 RULE_METADATA = [
     ("RL101", "package imports must follow the layering DAG", Severity.ERROR),
-    ("RL104", "no unordered set iteration", Severity.WARNING),
+    ("RL304", "no unstable array sorts in decision paths", Severity.WARNING),
 ]
 
 
@@ -162,7 +162,7 @@ class TestStructure:
         driver = run["tool"]["driver"]
         assert driver["name"] == TOOL_NAME
         assert driver["version"] == "3"
-        assert [rule["id"] for rule in driver["rules"]] == ["RL101", "RL104"]
+        assert [rule["id"] for rule in driver["rules"]] == ["RL101", "RL304"]
 
     def test_result_fields(self):
         log = sarif_log([finding(line=7, col=2)], RULE_METADATA)
@@ -177,7 +177,7 @@ class TestStructure:
 
     def test_severity_maps_to_level(self):
         log = sarif_log(
-            [finding(rule="RL104", severity=Severity.WARNING)], RULE_METADATA
+            [finding(rule="RL304", severity=Severity.WARNING)], RULE_METADATA
         )
         (result,) = log["runs"][0]["results"]
         assert result["level"] == "warning"
@@ -215,7 +215,7 @@ class TestSchemaValidation:
         log = sarif_log(
             [
                 finding(),
-                finding(rule="RL104", severity=Severity.WARNING, line=9),
+                finding(rule="RL304", severity=Severity.WARNING, line=9),
                 finding(rule="RL999"),
             ],
             RULE_METADATA,

@@ -42,9 +42,8 @@ def test_tests_and_benchmarks_lint_clean():
 
 
 def test_project_rules_lint_clean():
-    # The whole-program pass (RL101-RL106) over the real package: the
-    # layering DAG holds, the import graph is acyclic, pool workers are
-    # picklable, and no RNG provenance leaks.
+    # The whole-program pass (RL101) over the real package: the layering
+    # DAG holds and the import graph is acyclic.
     report = lint_project(
         [str(SRC_ROOT), str(REPO_ROOT / "tests"), str(REPO_ROOT / "benchmarks")],
         rule_ids=[],

@@ -15,11 +15,14 @@ from repro.core import (
 )
 from repro.parallel import (
     ReplicateError,
+    VolunteerProblemSpec,
     aggregate_metrics,
     combined_fingerprint,
     dca_replicate_specs,
     run_dca_replicates,
+    run_volunteer_problems,
 )
+from repro.volunteer import PlanetLabTestbed
 
 #: (name, strategy factory, DcaConfig overrides): the paper's three
 #: techniques, plus two strategies that carry per-node state across
@@ -59,6 +62,25 @@ def test_parallel_equals_serial_with_tiny_chunks():
     fanned = run_dca_replicates(
         dca_replicate_specs(factory, **SMALL), jobs=4, chunk_size=1
     )
+    assert combined_fingerprint(serial) == combined_fingerprint(fanned)
+
+
+def test_volunteer_problems_parallel_equals_serial():
+    # Figure 5(b)'s fan-out.  The serial run goes first, so forked pool
+    # workers inherit whatever module state it left behind: a worker
+    # that reads or mutates such state reports different metrics.
+    testbed = PlanetLabTestbed(nodes=40)
+    specs = [
+        VolunteerProblemSpec(seed=seed, strategy=strategy, testbed=testbed, sat_vars=8, tasks=12)
+        for seed, strategy in (
+            (1, IterativeRedundancy(2)),
+            (2, TraditionalRedundancy(3)),
+            (3, ProgressiveRedundancy(3)),
+        )
+    ]
+    serial = run_volunteer_problems(specs, jobs=1)
+    fanned = run_volunteer_problems(specs, jobs=2)
+    assert [e.fingerprint for e in serial] == [e.fingerprint for e in fanned]
     assert combined_fingerprint(serial) == combined_fingerprint(fanned)
 
 

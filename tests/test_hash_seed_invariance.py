@@ -11,7 +11,14 @@ different hash seeds and requires equal digests of:
 * a churned DES report (the ``iterative_d2_churn`` golden config);
 * the uncapped :class:`~repro.obs.TelemetryRecorder` payload of that run;
 * a :func:`~repro.dca.run_columnar_dca` report with churn and spot checks;
-* a small synthetic volunteer deployment (:func:`~repro.volunteer.run_volunteer`).
+* a small synthetic volunteer deployment (:func:`~repro.volunteer.run_volunteer`);
+* a small grid run (:func:`~repro.grid.run_grid`), whose per-site RNG
+  streams are named by string;
+* a small word-count MapReduce job (:func:`~repro.mapreduce.run_mapreduce`),
+  whose map outputs are keyed by string.
+
+Together these cover every substrate the same-seed sanitizer
+(:mod:`repro.lint.sanitizer`) replays.
 
 Run this file directly (``python tests/test_hash_seed_invariance.py``)
 to print the probe digests as JSON.
@@ -49,6 +56,8 @@ def probe_digests() -> dict:
     """Digests of one run per substrate, all from fixed simulation seeds."""
     from repro.core import IterativeRedundancy
     from repro.dca import DcaConfig, run_columnar_dca, run_dca
+    from repro.grid import GridConfig, run_grid
+    from repro.mapreduce import run_mapreduce, wordcount_job
     from repro.obs import TelemetryRecorder
     from repro.volunteer import VolunteerConfig, run_volunteer
 
@@ -70,11 +79,24 @@ def probe_digests() -> dict:
     volunteer = run_volunteer(
         VolunteerConfig(strategy=IterativeRedundancy(2), use_sat=False, tasks=40, seed=5)
     )
+    grid = run_grid(
+        GridConfig(strategy=IterativeRedundancy(2), tasks=40, sites=4, slots_per_site=8, seed=5)
+    )
+    mapreduce = run_mapreduce(
+        wordcount_job("to be or not to be that is the question " * 25, chunk_size=60),
+        IterativeRedundancy(2),
+        nodes=40,
+        seed=13,
+    )
     return {
         "des_report": _sha(report.to_json()),
         "recorder_payload": _sha(json.dumps(recorder.as_payload(), sort_keys=True)),
         "columnar_report": _sha(repr(columnar)),
         "volunteer_report": _sha(volunteer.to_json()),
+        "grid_report": _sha(grid.to_json()),
+        "mapreduce_report": _sha(
+            f"{mapreduce.map_report.to_json()}\n{mapreduce.output!r}"
+        ),
     }
 
 
@@ -104,6 +126,8 @@ def test_digests_do_not_depend_on_the_hash_seed():
         "recorder_payload",
         "columnar_report",
         "volunteer_report",
+        "grid_report",
+        "mapreduce_report",
     }
     assert first == second
     # The DES probes are the pinned golden run, not a look-alike.

@@ -23,6 +23,7 @@ PACKAGES = [
     "repro.parallel",
     "repro.bench",
     "repro.obs",
+    "repro.lint",
 ]
 
 
