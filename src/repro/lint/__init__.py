@@ -1,6 +1,6 @@
 """reprolint: determinism & correctness static analysis for this repo.
 
-Three complementary parts:
+Two complementary parts:
 
 * a static AST pass (:mod:`repro.lint.rules`, driven by
   :class:`~repro.lint.engine.LintEngine`) that rejects the known
@@ -11,11 +11,12 @@ Three complementary parts:
   paths);
 * a whole-program pass (``repro-lint --project``; :mod:`repro.lint.graph`,
   :mod:`repro.lint.project_rules`) that sees *between* modules:
-  layering violations and import cycles (RL101);
-* a runtime sanitizer (:mod:`repro.lint.sanitizer`) that replays a
-  simulation from the same seed and pinpoints the first diverging
-  recorded span, event, or task record when the static rules missed
-  something -- with runners for the DCA, grid, and MapReduce substrates.
+  layering violations and import cycles (RL101).
+
+What no static rule can see -- a replay that diverges -- is pinned at
+runtime by the determinism suite in ``tests/determinism/``: every probe
+digest pinned, replayed in one process, and replayed under two
+``PYTHONHASHSEED`` values.  The linter itself imports no simulation code.
 
 Run the linter with ``python -m repro.lint [paths]`` or the
 ``repro-lint`` console script; see ``docs/linting.md``.
@@ -34,27 +35,10 @@ from repro.lint.project_rules import (
     register_project,
     registered_project_rules,
 )
-from repro.lint.sanitizer import (
-    DeterminismError,
-    DeterminismSanitizer,
-    Divergence,
-    SanitizerReport,
-    dca_runner,
-    diff_captures,
-    grid_runner,
-    mapreduce_runner,
-    sanitize_dca,
-    sanitize_grid,
-    sanitize_mapreduce,
-    trace_fingerprint,
-)
 from repro.lint.sarif import render_sarif, sarif_log
 
 __all__ = [
     "ALLOWED_IMPORTS",
-    "DeterminismError",
-    "DeterminismSanitizer",
-    "Divergence",
     "Finding",
     "ImportGraph",
     "LintConfig",
@@ -64,25 +48,16 @@ __all__ = [
     "ProjectReport",
     "ProjectRule",
     "Rule",
-    "SanitizerReport",
     "Severity",
-    "dca_runner",
-    "diff_captures",
     "find_package_root",
     "fix_source",
-    "grid_runner",
     "lint_project",
     "load_config",
     "load_project",
-    "mapreduce_runner",
     "register",
     "register_project",
     "registered_project_rules",
     "registered_rules",
     "render_sarif",
-    "sanitize_dca",
-    "sanitize_grid",
-    "sanitize_mapreduce",
     "sarif_log",
-    "trace_fingerprint",
 ]

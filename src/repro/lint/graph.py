@@ -19,7 +19,7 @@ substrate once per run:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -38,8 +38,6 @@ class ImportEdge:
         target: Dotted name of the imported module (always internal).
         lineno: Line of the import statement in the source module.
         col: Column of the import statement (1-based, for findings).
-        names: Names bound by a from-import (empty for plain imports or
-            when the whole submodule is imported).
         top_level: False for imports inside a function body, which run
             lazily (the sanctioned way to break an import cycle).
     """
@@ -48,7 +46,6 @@ class ImportEdge:
     target: str
     lineno: int
     col: int
-    names: Tuple[str, ...] = ()
     top_level: bool = True
 
 
@@ -71,48 +68,12 @@ class ImportGraph:
     def __init__(self) -> None:
         self.modules: Dict[str, ProjectModule] = {}
         self.edges: List[ImportEdge] = []
-        self._adjacency: Optional[Dict[str, List[str]]] = None
 
     def add_module(self, module: ProjectModule) -> None:
         self.modules[module.name] = module
-        self._adjacency = None
 
     def add_edge(self, edge: ImportEdge) -> None:
         self.edges.append(edge)
-        self._adjacency = None
-
-    def adjacency(self) -> Dict[str, List[str]]:
-        """Module -> sorted unique imported modules (internal only)."""
-        if self._adjacency is None:
-            out: Dict[str, Set[str]] = {name: set() for name in self.modules}
-            for edge in self.edges:
-                if edge.target in self.modules:
-                    out.setdefault(edge.source, set()).add(edge.target)
-            self._adjacency = {name: sorted(targets) for name, targets in out.items()}
-        return self._adjacency
-
-    def package_edges(self) -> Iterator[Tuple[str, str, ImportEdge]]:
-        """Distinct (source package, target package) pairs, first edge each.
-
-        Self-edges (intra-package imports) are omitted; iteration order is
-        deterministic (sorted by package pair).
-        """
-        first: Dict[Tuple[str, str], ImportEdge] = {}
-        for edge in self.edges:
-            source = self.modules.get(edge.source)
-            target = self.modules.get(edge.target)
-            if source is None or target is None:
-                continue
-            pair = (source.package, target.package)
-            if pair[0] == pair[1]:
-                continue
-            if pair not in first or (edge.lineno, edge.source) < (
-                first[pair].lineno,
-                first[pair].source,
-            ):
-                first[pair] = edge
-        for pair in sorted(first):
-            yield pair[0], pair[1], first[pair]
 
     def cycles(self) -> List[List[str]]:
         """Strongly connected components with more than one module.
@@ -285,7 +246,6 @@ def extract_edges(
                         target=target,
                         lineno=node.lineno,
                         col=node.col_offset + 1,
-                        names=(alias.name,),
                         top_level=eager,
                     )
 

@@ -10,6 +10,7 @@ runs on the (trusted) client, per the paper's assumption 5.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -32,7 +33,9 @@ def default_corruptor(chunk_index: int, true_output: MapOutput) -> MapOutput:
     numbers are nudged, (key, count) tuples get one count inflated, and
     anything else is replaced by a chunk-tagged tuple -- in which case
     the reducer must tolerate foreign values, or a custom corruptor
-    should be supplied.
+    should be supplied.  The tag is a CRC-32 of the output's ``repr``,
+    not its ``hash()``, which is salted per interpreter for strings, so a
+    string output is corrupted the same way under any ``PYTHONHASHSEED``.
     """
     if isinstance(true_output, bool):
         return not true_output
@@ -48,7 +51,7 @@ def default_corruptor(chunk_index: int, true_output: MapOutput) -> MapOutput:
         key, count = true_output[0]
         inflated = ((key, count + 1 + chunk_index % 5),) + true_output[1:]
         return inflated
-    return ("corrupted", chunk_index, hash(true_output) & 0xFFFF)
+    return ("corrupted", chunk_index, zlib.crc32(repr(true_output).encode()) & 0xFFFF)
 
 
 @dataclass

@@ -9,7 +9,7 @@ supports, and (d) faithful to the strategies' decide() semantics (the
 vectorized deciders are cross-checked against the per-task
 ``VoteState`` fallback).  The regime kernels are checked against scalar
 oracles on generated arrays; whole-run output is pinned by digest in
-``test_columnar_identity.py``.
+the columnar rows of ``tests/determinism/table.py``.
 """
 
 import pytest

@@ -5,9 +5,6 @@ reporting."""
 import textwrap
 
 from repro.lint.graph import (
-    ImportGraph,
-    ProjectModule,
-    ImportEdge,
     find_package_root,
     load_project,
     module_name,
@@ -86,6 +83,7 @@ class TestEdges:
                 "core/other.py": "from repro.core import types\n",
                 "core/rel.py": "from . import types\n",
                 "dca/up.py": "from ..core import types\n",
+                "dca/name.py": "from repro.core.types import X\n",
             },
         )
         graph = load_project(root)
@@ -98,20 +96,8 @@ class TestEdges:
             "repro.core.other": "repro.core.types",
             "repro.core.rel": "repro.core.types",
             "repro.dca.up": "repro.core.types",
+            "repro.dca.name": "repro.core.types",
         }
-
-    def test_from_import_of_name_keeps_names(self, tmp_path):
-        root = write_package(
-            tmp_path,
-            {
-                "core/types.py": "Decision = object\n",
-                "dca/user.py": "from repro.core.types import Decision\n",
-            },
-        )
-        graph = load_project(root)
-        (edge,) = [e for e in graph.edges if e.source == "repro.dca.user"]
-        assert edge.target == "repro.core.types"
-        assert edge.names == ("Decision",)
 
     def test_function_scoped_import_marked_lazy(self, tmp_path):
         root = write_package(
@@ -189,41 +175,3 @@ class TestCycles:
             },
         )
         assert load_project(root).cycles() == []
-
-
-class TestPackageEdges:
-    def test_pairs_deduplicated_and_sorted(self, tmp_path):
-        root = write_package(
-            tmp_path,
-            {
-                "core/types.py": "X = 1\n",
-                "dca/one.py": "from repro.core import types\n",
-                "dca/two.py": "from repro.core import types\n",
-                "sim/user.py": "from repro.core import types\n",
-            },
-        )
-        graph = load_project(root)
-        pairs = [(src, dst) for src, dst, _ in graph.package_edges()]
-        assert pairs == [("dca", "core"), ("sim", "core")]
-
-    def test_intra_package_edges_omitted(self, tmp_path):
-        root = write_package(
-            tmp_path,
-            {
-                "core/a.py": "X = 1\n",
-                "core/b.py": "from repro.core import a\n",
-            },
-        )
-        assert list(load_project(root).package_edges()) == []
-
-
-def test_adjacency_is_sorted_and_internal_only():
-    graph = ImportGraph()
-    for name in ("repro.a", "repro.b", "repro.c"):
-        graph.add_module(
-            ProjectModule(name=name, path=f"{name}.py", context=None)
-        )
-    graph.add_edge(ImportEdge("repro.a", "repro.c", 1, 1))
-    graph.add_edge(ImportEdge("repro.a", "repro.b", 2, 1))
-    graph.add_edge(ImportEdge("repro.a", "repro.external", 3, 1))
-    assert graph.adjacency()["repro.a"] == ["repro.b", "repro.c"]

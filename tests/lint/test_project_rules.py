@@ -2,10 +2,15 @@
 (RL101).  Fixtures are synthetic ``repro`` packages written to a temp
 directory and run through the real import-graph pipeline."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.lint.graph import load_project
 from repro.lint.project_rules import (
     ALLOWED_IMPORTS,
@@ -134,3 +139,21 @@ def test_every_project_rule_has_registry_entry():
 def test_layer_map_targets_exist(package):
     for dep in ALLOWED_IMPORTS[package]:
         assert dep in ALLOWED_IMPORTS, f"{package} allows unknown layer {dep}"
+
+
+def test_importing_the_linter_loads_no_simulation_code():
+    # A fresh interpreter: this test process has long since loaded them.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        part for part in (src, os.environ.get("PYTHONPATH")) if part
+    ))
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.lint, repro.lint.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = completed.stdout.split()
+    simulation = ("numpy",) + tuple(
+        f"repro.{pkg}" for pkg in ("dca", "sim", "grid", "mapreduce", "volunteer", "obs")
+    )
+    assert "repro.lint.cli" in loaded
+    assert [name for name in loaded if name.startswith(simulation)] == []
