@@ -1,14 +1,17 @@
-"""Benchmark harness for the replication engine and voting hot paths.
+"""Benchmark harness for the paper's experiments, the replication
+engine and the voting hot paths.
 
-Each suite times a core code path with :func:`time.perf_counter` and
-emits a schema-versioned ``BENCH_<name>.json`` report (machine, python,
-seed, wall-clock stats, and a checksum of the computed results so CI can
-detect serial/parallel divergence alongside perf drift).
+Each suite times a code path with :func:`time.perf_counter` and emits a
+schema-versioned ``BENCH_<name>.json`` report (machine, python, seed,
+wall-clock stats, and a checksum of the computed results so CI can
+detect serial/parallel divergence alongside perf drift).  The
+``experiments`` suite times each of the paper's experiments end to end,
+one fresh ``repro-experiments`` interpreter each, and digests its output.
 
 Run it with::
 
     python -m repro.bench --quick
-    python -m repro.bench decide_loops figure_sweep --jobs 4
+    python -m repro.bench experiments --jobs 2
 
 Benchmarks measure wall-clock time by design; the simulation packages
 themselves stay wall-clock-free (reprolint RL002).

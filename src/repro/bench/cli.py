@@ -3,13 +3,16 @@
 Usage::
 
     python -m repro.bench --quick
-    python -m repro.bench decide_loops figure_sweep --jobs 4 --output-dir bench-out
+    python -m repro.bench experiments --quick --jobs 2 --compare benchmarks/baselines
     python -m repro.bench decide_loops --compare benchmarks/baselines
     python -m repro.bench dca_run --profile 25
 
 Writes one ``BENCH_<suite>.json`` per suite and prints a one-line summary
-each.  Exits non-zero if the figure sweep's parallel checksum diverges
+each.  Exits non-zero if a ``scale`` suite's parallel checksum diverges
 from the serial one -- CI treats that as a broken determinism contract.
+The ``experiments`` suite runs every paper experiment through its CLI;
+its checksum, compared against a baseline recorded at ``--jobs 1``, is
+the same contract for the figures.
 
 With ``--compare DIR`` each fresh report is additionally judged against
 the committed baseline in ``DIR`` (see :mod:`repro.bench.compare`):
@@ -73,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for the parallel sweep (default: all CPUs)",
+        help="worker processes for the parallel legs and experiments (default: all CPUs)",
     )
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     parser.add_argument(
@@ -215,10 +218,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         line = f"{name}: {payload['wall_clock_seconds']:.2f}s -> {path}"
         results = payload.get("results", {})
         if "speedup" in results:
-            line += f" (speedup x{results['speedup']:.2f}"
-            if "parallel_efficiency" in results:
-                line += f", efficiency {results['parallel_efficiency']:.2f}"
-            line += ")"
+            line += f" (speedup x{results['speedup']:.2f})"
         print(line)
         if payload.get("diverged"):
             diverged = True

@@ -54,11 +54,11 @@ def history_row(
 
     The timestamp and ``nproc`` (the CPU count, recorded when given) are
     injected, never read from the machine here, so rows are a pure
-    function of their inputs (and tests can pin them).  A suite that
-    reports ``results.parallel_efficiency`` (``figure_sweep``) or
-    ``results.telemetry_recorder_ratio`` (``obs_overhead``) gets it
-    copied into the row, so pool scheduling and the full recorder's cost
-    show in the trajectory.
+    function of their inputs (and tests can pin them).  A payload's
+    ``jobs`` and ``results.telemetry_recorder_ratio`` (``obs_overhead``)
+    are copied into the row when present, so rows at different worker
+    counts tell apart and the full recorder's cost shows in the
+    trajectory.
     """
     row = {
         "schema_version": HISTORY_SCHEMA_VERSION,
@@ -76,10 +76,11 @@ def history_row(
     }
     if nproc is not None:
         row["nproc"] = nproc
-    results = payload.get("results", {})
-    for key in ("parallel_efficiency", "telemetry_recorder_ratio"):
-        if results.get(key) is not None:
-            row[key] = results[key]
+    if payload.get("jobs") is not None:
+        row["jobs"] = payload["jobs"]
+    ratio = payload.get("results", {}).get("telemetry_recorder_ratio")
+    if ratio is not None:
+        row["telemetry_recorder_ratio"] = ratio
     return row
 
 

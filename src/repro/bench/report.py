@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy
+
 #: Bump on any incompatible change to the report layout.
 SCHEMA_VERSION = 1
 
@@ -29,17 +31,13 @@ def machine_info() -> dict:
     Includes the numpy version: columnar checksums are byte-identical
     only for a given numpy (its generators and reductions define them).
     """
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised only without numpy
-        numpy = None
     return {
         "python": sys.version.split()[0],
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "numpy": numpy.__version__ if numpy is not None else None,
+        "numpy": numpy.__version__,
     }
 
 

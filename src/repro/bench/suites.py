@@ -1,24 +1,32 @@
 """The benchmark suites: voting hot paths, the DES engine, the DCA
-model, the serial-vs-parallel figure sweep, and the million-task
-sharded ``scale`` tier.
+model, telemetry overhead, the paper's experiments end to end, and the
+million-task sharded ``scale`` tier.
 
 Every suite is deterministic given its seed: reports carry a checksum
 (:func:`repro.parallel.fingerprint_of` over the computed results) so CI
-can flag *correctness* drift, not just perf drift.  The ``figure_sweep``
-suite computes the same figure serially and in parallel and compares the
-two checksums -- a standing regression test for the replication engine's
-jobs-invariance guarantee; the ``scale`` suite does the same for the
-sharded columnar task server at 10^6 tasks / 10^5 nodes.
+can flag *correctness* drift, not just perf drift.  The ``experiments``
+suite times each of the paper's experiments through its CLI and digests
+the bytes it prints, so a run at any ``--jobs`` checked against a
+baseline recorded at ``--jobs 1`` is a standing test of the replication
+engine's jobs-invariance guarantee; the ``scale`` suites compute the
+sharded columnar task server at 10^6 tasks / 10^5 nodes serially and in
+parallel and compare the two checksums.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
+import os
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 from typing import Callable, Dict, Optional
 
+import repro
 from repro.bench.timing import TimingStats, time_callable
 from repro.core import (
     IterativeRedundancy,
@@ -27,7 +35,6 @@ from repro.core import (
 )
 from repro.core.runner import monte_carlo
 from repro.dca import DcaConfig, run_dca
-from repro.dca import columnar
 from repro.obs import NullRecorder, TelemetryRecorder
 from repro.parallel import (
     fingerprint_of,
@@ -38,6 +45,10 @@ from repro.parallel import (
     shm_available,
 )
 from repro.sim.engine import Simulator
+
+#: The directory holding the imported ``repro`` package, so a child
+#: interpreter runs the same source as this process.
+_SOURCE_ROOT = str(Path(repro.__file__).resolve().parent.parent)
 
 #: suite name -> callable(seed=, jobs=, quick=, repeats=) -> payload dict
 SUITES: Dict[str, Callable[..., dict]] = {}
@@ -275,60 +286,82 @@ def bench_obs_overhead(
     }
 
 
+def _run_experiment(name: str, scale: str, jobs: int) -> bytes:
+    """Run one experiment's CLI in a fresh interpreter; return its stdout.
+
+    The child imports the same source tree as this process.
+
+    Raises:
+        RuntimeError: naming the experiment and the tail of its stderr
+            when the child exits non-zero.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (_SOURCE_ROOT, env.get("PYTHONPATH")) if path
+    )
+    command = [sys.executable, "-m", "repro.experiments", name]
+    command += ["--scale", scale, "--jobs", str(jobs)]
+    done = subprocess.run(command, capture_output=True, env=env)
+    if done.returncode != 0:
+        tail = done.stderr.decode(errors="replace").strip().splitlines()[-10:]
+        raise RuntimeError(
+            f"experiment {name!r} exited {done.returncode}:\n" + "\n".join(tail)
+        )
+    return done.stdout
+
+
 @_suite
-def bench_figure_sweep(
+def bench_experiments(
     *, seed: int = 0, jobs: Optional[int] = None, quick: bool = False, repeats: int = 1
 ) -> dict:
-    """Figure 5(a) at reduced scale, serial vs parallel.
+    """Every paper experiment through its CLI, one fresh interpreter each.
 
-    The serial and parallel checksums must be identical -- any divergence
-    means the replication engine broke its determinism contract, and the
-    CLI turns it into a non-zero exit for CI.  ``parallel_efficiency``
-    is serial wall / (jobs x parallel wall): 1.0 means every worker was
-    busy for the whole parallel run, so load imbalance in the replicate
-    pool shows as a shortfall.
+    Runs ``python -m repro.experiments <name> --scale <scale> --jobs N``
+    for each entry of :data:`repro.experiments.EXPERIMENTS`, at ``smoke``
+    scale when quick and ``default`` otherwise.  Each run is timed from
+    spawn to exit, so interpreter start and imports count: ``total`` is
+    the wall clock a user waits for the paper's evaluation.
+
+    An experiment's digest is the sha256 of its stdout, the bytes a user
+    gets, so it covers sweep assembly, aggregation, closed forms and
+    rendering alike; the checksum is :func:`fingerprint_of` over the
+    digests.  ``jobs`` never changes them, so a run at any ``--jobs``
+    compares against a baseline recorded at ``--jobs 1``.  The
+    experiments carry their own seeds; ``seed`` is only recorded.  Quick
+    runs gate the checksum only and carry their timings ungated, as
+    ``scale`` does.
     """
-    from repro.experiments import figure5a
+    from repro.experiments import EXPERIMENTS
 
+    scale = "smoke" if quick else "default"
     effective_jobs = resolve_jobs(jobs)
-    params = dict(
-        ks=(3, 7),
-        ds=(2, 3),
-        tasks=300 if quick else 1_500,
-        nodes=100 if quick else 300,
-        replications=2,
-        seed=seed,
+    stats: Dict[str, TimingStats] = {}
+    digests = {}
+    for name in EXPERIMENTS:
+        stats[name], stdout = time_callable(
+            lambda name=name: _run_experiment(name, scale, effective_jobs),
+            repeats=repeats,
+            warmup=0,
+        )
+        digests[name] = hashlib.sha256(stdout).hexdigest()
+    stats["total"] = TimingStats(
+        repeats=repeats,
+        best=sum(entry.best for entry in stats.values()),
+        mean=sum(entry.mean for entry in stats.values()),
+        total=sum(entry.total for entry in stats.values()),
     )
-
-    def run(n_jobs: int) -> dict:
-        return figure5a.compute(jobs=n_jobs, **params).as_dict()
-
-    serial_stats, serial_result = time_callable(
-        lambda: run(1), repeats=repeats, warmup=0
-    )
-    parallel_stats, parallel_result = time_callable(
-        lambda: run(effective_jobs), repeats=repeats, warmup=0
-    )
-    serial_checksum = fingerprint_of(serial_result)
-    parallel_checksum = fingerprint_of(parallel_result)
+    timings = {name: entry.as_dict() for name, entry in stats.items()}
+    results: dict = {"digests": digests}
+    if quick:
+        results["timings_ungated"] = timings
     return {
         "seed": seed,
         "quick": quick,
         "jobs": effective_jobs,
-        "params": params,
-        "timings": {
-            "serial": serial_stats.as_dict(),
-            "parallel": parallel_stats.as_dict(),
-        },
-        "results": {
-            "speedup": serial_stats.best / parallel_stats.best,
-            "parallel_efficiency": serial_stats.best
-            / (effective_jobs * parallel_stats.best),
-        },
-        "serial_checksum": serial_checksum,
-        "parallel_checksum": parallel_checksum,
-        "checksum": serial_checksum,
-        "diverged": serial_checksum != parallel_checksum,
+        "params": {"scale": scale, "experiments": list(digests)},
+        "timings": {} if quick else timings,
+        "results": results,
+        "checksum": fingerprint_of(digests),
     }
 
 
@@ -352,24 +385,16 @@ def bench_scale(
     real signal, so -- like ``obs_overhead``'s ratio trick -- the quick
     payload gates *checksum identity only* and reports its raw timings
     ungated under ``results``; perf regressions are gated at full size,
-    where best-of-``repeats`` seconds are stable.  Without numpy the
-    suite degrades to a small object-DES run -- the ``engine`` param
-    then differs from any committed columnar baseline, so ``--compare``
-    reports *incomparable* instead of a vacuous pass.
+    where best-of-``repeats`` seconds are stable.
     """
-    engine = "des" if columnar.np is None else "columnar"
-    if engine == "columnar":
-        tasks = 20_000 if quick else 1_000_000
-        nodes = 2_000 if quick else 100_000
-    else:
-        tasks = 2_000 if quick else 10_000
-        nodes = 200 if quick else 1_000
+    tasks = 20_000 if quick else 1_000_000
+    nodes = 2_000 if quick else 100_000
     shards = 4 if quick else 8
     # The identity under test is cross-process determinism, so the
     # parallel leg gets at least two workers even on a one-CPU host.
     parallel_jobs = max(2, resolve_jobs(jobs))
     params = dict(
-        tasks=tasks, nodes=nodes, shards=shards, reliability=0.7, engine=engine
+        tasks=tasks, nodes=nodes, shards=shards, reliability=0.7, engine="columnar"
     )
 
     def run(n_jobs: int) -> dict:
@@ -380,7 +405,6 @@ def bench_scale(
             reliability=0.7,
             shards=shards,
             seed=seed,
-            engine=engine,
         )
         return merge_shard_reports(run_dca_shards(specs, jobs=n_jobs))
 
@@ -454,15 +478,10 @@ def _bench_scale_regime(
     ``speedup_vs_des``, gated at full size against
     :data:`DES_SPEEDUP_FLOOR` via ``below_des_floor``.
     """
-    engine = "des" if columnar.np is None else "columnar"
-    if engine == "columnar":
-        tasks = 20_000 if quick else 1_000_000
-        nodes = 2_000 if quick else 100_000
-    else:
-        tasks = 2_000 if quick else 10_000
-        nodes = 200 if quick else 1_000
+    tasks = 20_000 if quick else 1_000_000
+    nodes = 2_000 if quick else 100_000
     shards = 4 if quick else 8
-    transport = "shm" if engine == "columnar" and shm_available() else "pickle"
+    transport = "shm" if shm_available() else "pickle"
     parallel_jobs = max(2, resolve_jobs(jobs))
     overrides = _SCALE_REGIMES[regime](nodes)
     params = dict(
@@ -470,7 +489,7 @@ def _bench_scale_regime(
         nodes=nodes,
         shards=shards,
         reliability=0.7,
-        engine=engine,
+        engine="columnar",
         transport=transport,
         **overrides,
     )
@@ -483,7 +502,6 @@ def _bench_scale_regime(
             reliability=0.7,
             shards=shards,
             seed=seed,
-            engine=engine,
             **overrides,
         )
         return merge_shard_reports(
@@ -555,10 +573,8 @@ def _bench_scale_regime(
         "parallel_checksum": parallel_checksum,
         "checksum": serial_checksum,
         "diverged": serial_merged != parallel_merged,
-        # Only meaningful at full columnar size; quick runs are noise.
-        "below_des_floor": (
-            engine == "columnar" and not quick and speedup_vs_des < DES_SPEEDUP_FLOOR
-        ),
+        # Only meaningful at full size; quick runs are noise.
+        "below_des_floor": not quick and speedup_vs_des < DES_SPEEDUP_FLOOR,
     }
 
 

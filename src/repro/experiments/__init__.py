@@ -4,7 +4,9 @@ Each module owns one figure (or the inline worked examples) and exposes
 
 * ``compute(...)`` -- produce the figure's data series,
 * ``render(result)`` -- format them as the text table the CLI prints,
-* ``main(scale)`` -- compute + render at a given scale.
+* ``run(scale)`` -- ``compute`` with the arguments of a CLI scale (the
+  figures only; ``--json`` and ``--plot`` show its result),
+* ``main(scale)`` -- the text the CLI prints at a given scale.
 
 Run from the command line::
 

@@ -11,11 +11,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import List, Optional
 
 from repro.experiments import EXPERIMENTS
+from repro.experiments.plotting import ascii_plot
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,56 +62,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--plot",
         action="store_true",
-        help="append an ASCII scatter plot of the figure's series",
+        help="print the figure's data table and an ASCII scatter plot of the same series",
     )
     parser.add_argument(
         "--json",
         action="store_true",
-        help="emit the figure's data series as JSON instead of a table",
+        help="emit the figure's data series, at --scale, as JSON instead of a table",
     )
     return parser
 
 
-#: Cheap compute() arguments per experiment for --plot/--json (sim-based
-#: figures run at smoke scale regardless of --scale; analytic figures run
-#: as-is).
-_DATA_KWARGS = {
-    "figure3": {},
-    "figure5a": dict(tasks=1_000, nodes=200, replications=1),
-    "figure5b": dict(ks=(3, 9), ds=(2, 4), sat_vars=12, tasks=60, problems=1, nodes=120),
-    "figure5c": {},
-    "figure6": dict(tasks=1_000, nodes=200, replications=1),
+#: Axis labels for --plot; figures not listed plot reliability vs cost.
+_PLOT_LABELS = {
+    "figure5c": ("node reliability r", "improvement over TR"),
+    "figure6": ("cost factor", "response time"),
 }
-
-
-def _compute_data(name: str, module, jobs: Optional[int] = None):
-    kwargs = _DATA_KWARGS.get(name)
-    if kwargs is None or not hasattr(module, "compute"):
-        return None
-    return module.compute(jobs=jobs, **kwargs)
-
-
-def _maybe_plot(name: str, module, jobs: Optional[int] = None) -> Optional[str]:
-    result = _compute_data(name, module, jobs=jobs)
-    if result is None:
-        return None
-    from repro.experiments.plotting import ascii_plot
-
-    labels = {
-        "figure5c": ("node reliability r", "improvement over TR"),
-        "figure6": ("cost factor", "response time"),
-    }
-    x_label, y_label = labels.get(name, ("cost factor", "reliability"))
-    return ascii_plot(result, x_label=x_label, y_label=y_label)
-
-
-def _maybe_json(name: str, module, jobs: Optional[int] = None) -> Optional[str]:
-    import json
-
-    result = _compute_data(name, module, jobs=jobs)
-    if result is None:
-        return None
-    return json.dumps(result.as_dict(), indent=2, sort_keys=True)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -152,21 +119,24 @@ def _run(args: argparse.Namespace, jobs: int) -> int:
     if module is None:
         print(f"unknown experiment {args.experiment!r}; try --list", file=sys.stderr)
         return 2
-    if args.json:
-        payload = _maybe_json(args.experiment, module, jobs=jobs)
-        if payload is None:
-            print(f"(no JSON output available for {args.experiment})", file=sys.stderr)
-            return 2
-        print(payload)
-        return 0
-    print(module.main(args.scale, jobs=jobs))
-    if args.plot:
-        plot = _maybe_plot(args.experiment, module, jobs=jobs)
-        if plot is not None:
-            print()
-            print(plot)
-        else:
+    run = getattr(module, "run", None)
+    if args.json and run is None:
+        print(f"(no JSON output available for {args.experiment})", file=sys.stderr)
+        return 2
+    if run is None or not (args.json or args.plot):
+        print(module.main(args.scale, jobs=jobs))
+        if args.plot:
             print(f"(no plot available for {args.experiment})", file=sys.stderr)
+        return 0
+    # --json and --plot show the one computation the table is rendered from.
+    result = run(args.scale, jobs=jobs)
+    if args.json:
+        print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
+        return 0
+    x_label, y_label = _PLOT_LABELS.get(args.experiment, ("cost factor", "reliability"))
+    print(module.render(result))
+    print()
+    print(ascii_plot(result, x_label=x_label, y_label=y_label))
     return 0
 
 

@@ -84,14 +84,22 @@ def render(result: ExperimentResult) -> str:
     )
 
 
+def run(
+    scale: str = "default",
+    r: float = DEFAULT_R,
+    jobs: Optional[int] = None,
+) -> ExperimentResult:
+    """Scale and jobs are irrelevant for closed forms; accepted for CLI
+    uniformity."""
+    return compute(r=r)
+
+
 def main(
     scale: str = "default",
     r: float = DEFAULT_R,
     jobs: Optional[int] = None,
 ) -> str:
-    """Scale and jobs are irrelevant for closed forms; accepted for CLI
-    uniformity."""
-    return render(compute(r=r))
+    return render(run(scale, r=r, jobs=jobs))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -142,16 +142,13 @@ def render(result: ExperimentResult) -> str:
     )
 
 
+def run(scale: str = "default", jobs: Optional[int] = 1) -> ExperimentResult:
+    """Figure 5(b) at a CLI scale (:data:`DEPLOYMENT_SCALES`)."""
+    return compute(jobs=jobs, **DEPLOYMENT_SCALES[scale])
+
+
 def main(scale: str = "default", jobs: Optional[int] = 1) -> str:
-    params = DEPLOYMENT_SCALES[scale]
-    return render(
-        compute(
-            sat_vars=params["sat_vars"],
-            tasks=params["tasks"],
-            problems=params["problems"],
-            jobs=jobs,
-        )
-    )
+    return render(run(scale, jobs=jobs))
 
 
 if __name__ == "__main__":  # pragma: no cover

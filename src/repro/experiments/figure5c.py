@@ -124,8 +124,14 @@ def render(result: ExperimentResult) -> str:
     return render_table(result.title, ["series", "point", "improvement"], rows, result.notes)
 
 
+def run(scale: str = "default", jobs: Optional[int] = 1) -> ExperimentResult:
+    """The analytic curves; the same at every scale."""
+    return compute()
+
+
 def main(scale: str = "default", jobs: Optional[int] = 1) -> str:
-    parts = [render(compute())]
+    """The curves, plus the simulation cross-check above smoke scale."""
+    parts = [render(run(scale, jobs=jobs))]
     if scale != "smoke":
         parts.append(render(simulate_check(jobs=jobs)))
     return "\n\n".join(parts)

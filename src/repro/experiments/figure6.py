@@ -125,21 +125,21 @@ def render(result: ExperimentResult) -> str:
     )
 
 
+def run(
+    scale: str = "default",
+    r: float = DEFAULT_R,
+    jobs: Optional[int] = 1,
+) -> ExperimentResult:
+    """Figure 6 at a CLI scale (:data:`~repro.experiments.common.SCALES`)."""
+    return compute(r=r, jobs=jobs, **SCALES[scale])
+
+
 def main(
     scale: str = "default",
     r: float = DEFAULT_R,
     jobs: Optional[int] = 1,
 ) -> str:
-    params = SCALES[scale]
-    return render(
-        compute(
-            r=r,
-            tasks=params["tasks"],
-            nodes=params["nodes"],
-            replications=params["replications"],
-            jobs=jobs,
-        )
-    )
+    return render(run(scale, r=r, jobs=jobs))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -53,6 +53,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.distributions import ReliabilityDistribution
 from repro.core.strategy import RedundancyStrategy
 from repro.dca import DcaConfig, run_columnar_dca, run_columnar_dca_columns, run_dca
@@ -69,11 +71,6 @@ from repro.parallel.shm import (
     shm_available,
     write_columns,
 )
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
 
 #: Shard engines: columnar for scale, the object DES for full generality.
 SHARD_ENGINES = ("columnar", "des")
@@ -312,7 +309,7 @@ def run_dca_shards(
     if transport == "shm":
         if not shm_available():
             raise RuntimeError(
-                "transport='shm' needs numpy and multiprocessing.shared_memory "
+                "transport='shm' needs multiprocessing.shared_memory "
                 "(POSIX); use transport='pickle'"
             )
         specs = [replace(spec, columns=True) for spec in specs]

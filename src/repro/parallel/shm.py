@@ -31,27 +31,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-try:  # gated like numpy itself: POSIX shared memory may be unavailable
+import numpy as np
+
+try:  # POSIX shared memory may be unavailable
     from multiprocessing import resource_tracker, shared_memory
 except ImportError:  # pragma: no cover - exotic platforms only
     resource_tracker = None  # type: ignore[assignment]
     shared_memory = None  # type: ignore[assignment]
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-
 
 def shm_available() -> bool:
     """Whether the shared-memory transport can run on this platform."""
-    return shared_memory is not None and np is not None
+    return shared_memory is not None
 
 
 def _require_shm() -> None:
     if not shm_available():
         raise RuntimeError(
-            "the shared-memory shard transport needs numpy and "
+            "the shared-memory shard transport needs "
             "multiprocessing.shared_memory; use transport='pickle'"
         )
 

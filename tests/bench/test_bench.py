@@ -1,7 +1,8 @@
 # reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """Tests for the benchmark harness: timing primitives, report schema,
-suite payloads, and the CLI's divergence gate."""
+suite payloads, the experiments suite, and the CLI's divergence gate."""
 
+import hashlib
 import json
 
 import pytest
@@ -143,6 +144,47 @@ class TestSuites:
         assert payload["above_telemetry_ceiling"] is True
 
 
+class TestExperimentsSuite:
+    @pytest.fixture
+    def two_experiments(self, monkeypatch):
+        import repro.experiments as experiments
+
+        chosen = {name: experiments.EXPERIMENTS[name] for name in ("figure3", "examples")}
+        monkeypatch.setattr(experiments, "EXPERIMENTS", chosen)
+
+    def test_quick_run_is_jobs_invariant_and_reports_each_experiment(self, two_experiments):
+        from repro.experiments import examples_table, figure3
+        from repro.parallel import fingerprint_of
+
+        serial = run_suite("experiments", quick=True, jobs=1)
+        parallel = run_suite("experiments", quick=True, jobs=2)
+        assert serial["checksum"] == parallel["checksum"]
+        assert (serial["jobs"], parallel["jobs"]) == (1, 2)
+        assert serial["params"] == {"scale": "smoke", "experiments": ["figure3", "examples"]}
+        digests = serial["results"]["digests"]
+        assert serial["checksum"] == fingerprint_of(digests)
+        # A digest covers exactly the bytes the CLI prints.
+        for name, module in (("figure3", figure3), ("examples", examples_table)):
+            printed = (module.main("smoke") + "\n").encode()
+            assert digests[name] == hashlib.sha256(printed).hexdigest()
+        # Quick runs gate the checksum only; timings ride ungated.
+        assert serial["timings"] == {}
+        timings = serial["results"]["timings_ungated"]
+        assert list(timings) == ["figure3", "examples", "total"]
+        assert timings["total"]["best_seconds"] == pytest.approx(
+            timings["figure3"]["best_seconds"] + timings["examples"]["best_seconds"]
+        )
+        assert all(entry["repeats"] == 1 for entry in timings.values())
+
+    def test_failing_experiment_is_named(self, monkeypatch):
+        import repro.experiments as experiments
+
+        monkeypatch.setattr(experiments, "EXPERIMENTS", {"warp_drive": None})
+        with pytest.raises(RuntimeError, match="'warp_drive' exited 2") as info:
+            run_suite("experiments", quick=True, jobs=1)
+        assert "unknown experiment 'warp_drive'" in str(info.value)
+
+
 class TestCli:
     def test_quick_run_writes_reports(self, tmp_path, capsys):
         code = bench_main(
@@ -153,22 +195,6 @@ class TestCli:
         for name in ("decide_loops", "sim_engine"):
             assert (tmp_path / f"BENCH_{name}.quick.json").exists()
             assert name in out
-
-    def test_figure_sweep_serial_parallel_agree(self, tmp_path):
-        code = bench_main(
-            ["figure_sweep", "--quick", "--jobs", "2", "--output-dir", str(tmp_path)]
-        )
-        assert code == 0
-        document = json.loads(
-            (tmp_path / "BENCH_figure_sweep.quick.json").read_text()
-        )
-        assert document["diverged"] is False
-        assert document["serial_checksum"] == document["parallel_checksum"]
-        assert document["results"]["speedup"] > 0
-        # serial wall / (jobs x parallel wall), i.e. speedup per worker.
-        assert document["results"]["parallel_efficiency"] == pytest.approx(
-            document["results"]["speedup"] / document["jobs"]
-        )
 
     def test_divergence_is_a_failure(self, tmp_path, capsys, monkeypatch):
         def fake_suite(**kwargs):

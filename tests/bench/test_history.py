@@ -41,11 +41,10 @@ class TestRow:
             "timestamp": "2026-08-08T00:00:00+00:00",
         }
 
-    def test_parallel_efficiency_is_carried_when_reported(self):
-        payload = dict(PAYLOAD, results={"speedup": 1.8, "parallel_efficiency": 0.9})
-        row = history_row("figure_sweep", payload, timestamp="t", git_sha="s")
-        assert row["parallel_efficiency"] == 0.9
-        assert "parallel_efficiency" not in history_row("scale", PAYLOAD, timestamp="t", git_sha="s")
+    def test_jobs_is_carried_when_reported(self):
+        row = history_row("experiments", dict(PAYLOAD, jobs=2), timestamp="t", git_sha="s")
+        assert row["jobs"] == 2
+        assert "jobs" not in history_row("scale", PAYLOAD, timestamp="t", git_sha="s")
 
     def test_telemetry_ratio_and_nproc_are_carried_when_given(self):
         payload = dict(PAYLOAD, results={"telemetry_recorder_ratio": 1.31})

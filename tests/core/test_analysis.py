@@ -5,7 +5,7 @@ paper's worked examples and cross-checks between independent computations."""
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import analysis as A
 from repro.core.runner import monte_carlo
@@ -63,6 +63,7 @@ class TestProgressive:
         assert A.progressive_cost(0.7, 1) == pytest.approx(1.0)
 
     @given(mid_r, odd_k)
+    @example(0.7, 39)
     @settings(max_examples=40, deadline=None)
     def test_property_equation3_matches_wave_dp(self, r, k):
         """The paper's printed formula equals the wave-process DP."""

@@ -34,6 +34,7 @@ class TestAgreementWithClosedForms:
 
     def test_progressive(self):
         report = run(ProgressiveRedundancy(9))
+        assert report.tasks_completed == 4000
         assert report.cost_factor == pytest.approx(
             analysis.progressive_cost(0.7, 9), rel=0.03
         )

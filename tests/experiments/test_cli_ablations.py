@@ -1,11 +1,14 @@
 # reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """Tests for the CLI and the ablation studies."""
 
+import json
+
 import pytest
 
-from repro.experiments import EXPERIMENTS, ablations
+from repro.experiments import EXPERIMENTS, ablations, figure5a
 from repro.experiments.cli import main as cli_main
 from repro.experiments.common import (
+    SCALES,
     ExperimentResult,
     Series,
     SeriesPoint,
@@ -167,10 +170,13 @@ class TestAblations:
         assert ablations.main("smoke", jobs=2) == ablations.main("smoke", jobs=1)
 
 
+@pytest.fixture(scope="module")
+def figure5a_smoke():
+    return figure5a.compute(**SCALES["smoke"])
+
+
 class TestCliJsonPlot:
     def test_json_output_parses(self, capsys):
-        import json
-
         assert cli_main(["figure3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["title"].startswith("Figure 3")
@@ -188,6 +194,18 @@ class TestCliJsonPlot:
     def test_plot_unavailable_message(self, capsys):
         assert cli_main(["examples", "--plot"]) == 0
         assert "no plot available" in capsys.readouterr().err
+
+    def test_json_is_the_computation_at_the_chosen_scale(self, capsys, figure5a_smoke):
+        assert cli_main(["figure5a", "--scale", "smoke", "--jobs", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == figure5a_smoke.as_dict()
+
+    def test_plot_draws_the_computation_the_table_shows(self, capsys, figure5a_smoke):
+        from repro.experiments.plotting import ascii_plot
+
+        assert cli_main(["figure5a", "--scale", "smoke", "--jobs", "1", "--plot"]) == 0
+        plot = ascii_plot(figure5a_smoke, x_label="cost factor", y_label="reliability")
+        expected = f"{figure5a.render(figure5a_smoke)}\n\n{plot}\n"
+        assert capsys.readouterr().out == expected
 
 
 class TestCliJobs:

@@ -69,6 +69,21 @@ class TestFigure3:
             if ir_val is not None:
                 assert ir_val > point.reliability - 1e-9
 
+    def test_paper_anchor_points(self, fig3):
+        tr, pr, ir = fig3.series
+        # Equal k: PR matches TR's reliability at lower cost.
+        for tr_point, pr_point in zip(tr.points, pr.points):
+            assert pr_point.reliability == pytest.approx(tr_point.reliability)
+            if tr_point.cost > 1:
+                assert pr_point.cost < tr_point.cost
+        k19_tr = next(p for p in tr.points if p.label == "k=19")
+        k19_pr = next(p for p in pr.points if p.label == "k=19")
+        d4_ir = next(p for p in ir.points if p.label == "d=4")
+        assert k19_tr.reliability == pytest.approx(0.967, abs=0.001)
+        assert k19_pr.cost == pytest.approx(14.17, abs=0.05)
+        assert d4_ir.cost == pytest.approx(9.35, abs=0.05)
+        assert d4_ir.reliability == pytest.approx(0.967, abs=0.001)
+
     def test_renders(self, fig3):
         text = figure3.render(fig3)
         assert "Figure 3" in text
@@ -118,6 +133,14 @@ class TestFigure5b:
         assert all(0.55 < e < 0.75 for e in estimates)
         assert sum(estimates) / len(estimates) < 0.72
 
+    def test_ir_beats_tr_at_comparable_cost(self, fig5b):
+        """IR(d=4) beats TR(k=9) on reliability at comparable-or-lower
+        cost: the paper's headline, on the deployment substrate."""
+        tr9 = next(p for p in fig5b.series_by_name("TR").points if p.label == "k=9")
+        ir4 = next(p for p in fig5b.series_by_name("IR").points if p.label == "d=4")
+        assert ir4.reliability > tr9.reliability
+        assert ir4.cost < tr9.cost * 1.35
+
     def test_renders(self, fig5b):
         assert "Figure 5(b)" in figure5b.render(fig5b)
 
@@ -138,6 +161,8 @@ class TestFigure5c:
         peak = max(ir_values)
         assert peak > 2.5
         assert ir_values[-1] < peak
+        peak_r = max(ir, key=ir.get)
+        assert 0.8 <= peak_r <= 0.95
 
     def test_ir_beats_pr_everywhere(self):
         result = figure5c.compute()
