@@ -109,6 +109,7 @@ def compare_report(
             f"checksum mismatch: baseline={baseline.get('checksum')} "
             f"current={current.get('checksum')} -- computed results changed"
         )
+        comparison["problems"].extend(_digest_mismatches(baseline, current))
         comparison["verdict"] = "checksum_mismatch"
         return comparison
 
@@ -138,6 +139,21 @@ def compare_report(
     comparison["problems"].extend(regressions)
     comparison["verdict"] = "regression" if regressions else "ok"
     return comparison
+
+
+def _digest_mismatches(baseline: dict, current: dict) -> List[str]:
+    """One line per key whose ``results.digests`` entry differs, when both
+    reports hold digests (the ``experiments`` suite digests each
+    experiment's stdout), so a mismatch names what changed."""
+    base = (baseline.get("results") or {}).get("digests")
+    cur = (current.get("results") or {}).get("digests")
+    if not isinstance(base, dict) or not isinstance(cur, dict):
+        return []
+    return [
+        f"digest of {name!r} differs: baseline={base.get(name)} current={cur.get(name)}"
+        for name in sorted(base.keys() | cur.keys())
+        if base.get(name) != cur.get(name)
+    ]
 
 
 def median_report(reports: Sequence[dict]) -> dict:

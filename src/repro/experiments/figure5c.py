@@ -27,9 +27,10 @@ from repro.experiments.common import (
     ExperimentResult,
     Series,
     SeriesPoint,
+    measurement_from_envelopes,
     render_table,
-    replicate_dca,
 )
+from repro.parallel import dca_replicate_specs, run_dca_replicates
 
 DEFAULT_K = 19
 DEFAULT_GRID = tuple(round(0.55 + 0.025 * i, 3) for i in range(18))  # 0.55 .. 0.975
@@ -74,20 +75,34 @@ def simulate_check(
     seed: int = 7,
     jobs: Optional[int] = 1,
 ) -> ExperimentResult:
-    """Empirical spot-check of the improvement ratios at a few r values."""
-    series = Series("simulated IR improvement")
+    """Empirical spot-check of the improvement ratios at a few r values.
+
+    Every point's replicates run through one replication pool; each point
+    keeps the same base ``seed``, so its replicates are the ones a
+    per-point run would draw.
+    """
+    specs = []
+    points = []  # (r, d, target, start, stop)
     for r in r_values:
         target = analysis.traditional_reliability(r, k)
         d = max(1, round(analysis.continuous_iterative_margin(r, target)))
-        measurement = replicate_dca(
-            lambda d=d: IterativeRedundancy(d),
-            tasks=tasks,
-            nodes=nodes,
-            reliability=r,
-            replications=replications,
-            seed=seed,
-            jobs=jobs,
+        start = len(specs)
+        specs.extend(
+            dca_replicate_specs(
+                lambda d=d: IterativeRedundancy(d),
+                tasks=tasks,
+                nodes=nodes,
+                reliability=r,
+                replications=replications,
+                seed=seed,
+            )
         )
+        points.append((r, d, target, start, len(specs)))
+    envelopes = run_dca_replicates(specs, jobs=jobs)
+
+    series = Series("simulated IR improvement")
+    for r, d, target, start, stop in points:
+        measurement = measurement_from_envelopes(envelopes[start:stop])
         series.add(
             SeriesPoint(
                 label=f"r={r} (d={d})",

@@ -33,9 +33,10 @@ def default_corruptor(chunk_index: int, true_output: MapOutput) -> MapOutput:
     numbers are nudged, (key, count) tuples get one count inflated, and
     anything else is replaced by a chunk-tagged tuple -- in which case
     the reducer must tolerate foreign values, or a custom corruptor
-    should be supplied.  The tag is a CRC-32 of the output's ``repr``,
-    not its ``hash()``, which is salted per interpreter for strings, so a
-    string output is corrupted the same way under any ``PYTHONHASHSEED``.
+    should be supplied.  The tag is a CRC-32 of the output's
+    :func:`_stable_repr`, not its ``hash()``, which is salted per
+    interpreter for strings, so an output is corrupted the same way under
+    any ``PYTHONHASHSEED``.
     """
     if isinstance(true_output, bool):
         return not true_output
@@ -51,7 +52,23 @@ def default_corruptor(chunk_index: int, true_output: MapOutput) -> MapOutput:
         key, count = true_output[0]
         inflated = ((key, count + 1 + chunk_index % 5),) + true_output[1:]
         return inflated
-    return ("corrupted", chunk_index, zlib.crc32(repr(true_output).encode()) & 0xFFFF)
+    return ("corrupted", chunk_index, zlib.crc32(_stable_repr(true_output).encode()) & 0xFFFF)
+
+
+def _stable_repr(value: MapOutput) -> str:
+    """``repr(value)`` with every frozenset's members in sorted order.
+
+    A frozenset's ``repr`` lists its members in hash order, which follows
+    ``PYTHONHASHSEED`` for strings; tuples are rebuilt around their
+    members' stable forms, so a tuple without sets keeps its ``repr``.
+    """
+    if isinstance(value, frozenset) and value:
+        members = ", ".join(sorted(_stable_repr(member) for member in value))
+        return f"{type(value).__name__}({{{members}}})"
+    if type(value) is tuple:
+        members = ", ".join(_stable_repr(member) for member in value)
+        return f"({members},)" if len(value) == 1 else f"({members})"
+    return repr(value)
 
 
 @dataclass

@@ -7,8 +7,6 @@ engine with the facilities the evaluation needs:
 
 * :class:`~repro.sim.engine.Simulator` -- an event-driven clock with
   schedule/cancel primitives and deterministic tie-breaking,
-* :class:`~repro.sim.processes.Process` -- generator-based cooperative
-  processes layered on the event queue,
 * :class:`~repro.sim.rng.RngRegistry` -- named, independently seeded random
   streams so that simulated subsystems (node selection, job durations,
   failures, churn) draw from decoupled sequences and experiments are
@@ -24,7 +22,6 @@ BOINC-like pull-model substrate on top of it.
 
 from repro.sim.engine import Simulator, SimulationError, StopSimulation
 from repro.sim.events import Event, EventQueue
-from repro.sim.processes import Process, Timeout, Waiting
 from repro.sim.rng import RngRegistry
 from repro.sim.streams import (
     CHURN,
@@ -42,13 +39,10 @@ __all__ = [
     "EventQueue",
     "FAILURES",
     "NODE_SELECTION",
-    "Process",
     "RngRegistry",
     "SPOT_CHECKS",
     "SimulationError",
     "Simulator",
     "StopSimulation",
     "StreamLabel",
-    "Timeout",
-    "Waiting",
 ]

@@ -1,7 +1,9 @@
 """Volunteer clients: poll, compute, report (or silently vanish).
 
-Each client is a generator process.  Its failure behaviour mirrors the
-three failure classes of the paper's BOINC experiment (Section 4.1):
+Each client is a chain of event callbacks on the simulator, one per
+stage of its poll / compute / report loop.  Its failure behaviour
+mirrors the three failure classes of the paper's BOINC experiment
+(Section 4.1):
 
 1. *seeded* failures -- with probability ``seeded_fault_prob`` (0.3 in the
    paper) the client reports the colluding wrong result;
@@ -22,7 +24,7 @@ from typing import Callable, Optional
 
 from repro.core.types import ResultValue
 from repro.sim.engine import Simulator
-from repro.sim.processes import Process, Timeout
+from repro.sim.events import Event
 from repro.volunteer.server import JobAssignment, VolunteerServer
 
 
@@ -95,6 +97,13 @@ class VolunteerNodeProfile:
 class VolunteerClient:
     """Drives one volunteer's poll/compute/report loop.
 
+    The loop runs as three event callbacks: :meth:`_wake` at the top
+    (go offline, or sleep one jittered poll), :meth:`_poll` (ask the
+    server for work) and :meth:`_report` (upload a computed result,
+    which rides on the event's payload).  The first wake-up is an event
+    at the construction time, so the constructor returns before the
+    client acts.
+
     Args:
         sim: The simulator.
         server: The work-unit server to poll.
@@ -107,6 +116,10 @@ class VolunteerClient:
         value_transform: Optional post-processing of the computed value
             (used to inject platform-specific numeric noise for the
             homogeneous-redundancy study).
+
+    Attributes:
+        alive: True until a poll finds the server without open work; the
+            client then schedules nothing more.
     """
 
     def __init__(
@@ -125,6 +138,7 @@ class VolunteerClient:
         self.rng = rng
         self.compute = compute
         self.value_transform = value_transform
+        self.alive = True
         self.jobs_reported = 0
         self.jobs_dropped = 0
         self.offline_periods = 0
@@ -133,10 +147,7 @@ class VolunteerClient:
             if profile.cycles_availability
             else float("inf")
         )
-        self.process = Process(sim, self._loop(), name=f"client-{profile.node_id}")
-
-    def stop(self) -> None:
-        self.process.interrupt()
+        sim.schedule_after(0.0, self._wake)
 
     # ------------------------------------------------------------------
 
@@ -165,37 +176,43 @@ class VolunteerClient:
         )
         return gap
 
-    def _loop(self):
-        profile = self.profile
-        while True:
-            if profile.cycles_availability and self.sim.now >= self._online_until:
-                # The machine left (in use / asleep / disconnected).
-                yield Timeout(self._offline_gap())
-                continue
+    def _wake(self, event: Optional[Event] = None) -> None:
+        """Top of the loop; the other stages call it directly to loop."""
+        if self.profile.cycles_availability and self.sim.now >= self._online_until:
+            # The machine left (in use / asleep / disconnected).
+            self.sim.schedule_after(self._offline_gap(), self._wake)
+        else:
             # Idle poll with jitter so clients do not synchronise.
-            yield Timeout(self.rng.uniform(0.5, 1.5) * profile.poll_interval)
-            if not self.server.has_open_work:
-                return
-            assignment = self.server.request_work(profile.node_id)
-            if assignment is None:
-                continue
-            duration = (
-                self.rng.uniform(0.5, 1.5) * profile.speed_factor
-            )
-            if self.rng.random() < profile.unresponsive_prob:
-                # Vanish for this job: burn the wall-clock but never report.
-                self.jobs_dropped += 1
-                yield Timeout(duration)
-                continue
-            if (
-                profile.cycles_availability
-                and self.sim.now + duration > self._online_until
-            ):
-                # The machine suspends mid-job and resumes after its
-                # offline period (one gap; offline periods dwarf job
-                # durations).  Deadlines may well expire meanwhile.
-                duration += self._offline_gap()
-            yield Timeout(duration)
-            value = self._result_for(assignment)
-            self.server.report_result(assignment, profile.node_id, value)
-            self.jobs_reported += 1
+            delay = self.rng.uniform(0.5, 1.5) * self.profile.poll_interval
+            self.sim.schedule_after(delay, self._poll)
+
+    def _poll(self, event: Event) -> None:
+        if not self.server.has_open_work:
+            self.alive = False
+            return
+        profile = self.profile
+        assignment = self.server.request_work(profile.node_id)
+        if assignment is None:
+            self._wake()
+            return
+        duration = self.rng.uniform(0.5, 1.5) * profile.speed_factor
+        if self.rng.random() < profile.unresponsive_prob:
+            # Vanish for this job: burn the wall-clock but never report.
+            self.jobs_dropped += 1
+            self.sim.schedule_after(duration, self._wake)
+            return
+        if profile.cycles_availability and self.sim.now + duration > self._online_until:
+            # The machine suspends mid-job and resumes after its offline
+            # period (one gap; offline periods dwarf job durations).
+            # Deadlines may well expire meanwhile.
+            duration += self._offline_gap()
+        self.sim.schedule_after(duration, self._report, payload=assignment)
+
+    def _report(self, event: Event) -> None:
+        assignment: JobAssignment = event.payload
+        value = self._result_for(assignment)
+        # StopSimulation from the server's all-done hook propagates from
+        # here and ends the run.
+        self.server.report_result(assignment, self.profile.node_id, value)
+        self.jobs_reported += 1
+        self._wake()

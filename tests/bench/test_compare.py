@@ -63,6 +63,17 @@ class TestCompareReport:
         assert comparison["verdict"] == "checksum_mismatch"
         assert comparison["timings"] == {}
 
+    def test_checksum_mismatch_names_each_changed_digest(self):
+        def experiments(figure5b):
+            payload = _payload(checksum=figure5b)
+            payload["results"] = {"digests": {"figure3": "d3", "figure5b": figure5b}}
+            return payload
+
+        comparison = compare_report(experiments("old"), experiments("new"))
+        assert comparison["verdict"] == "checksum_mismatch"
+        named = [p for p in comparison["problems"] if p.startswith("digest of")]
+        assert named == ["digest of 'figure5b' differs: baseline=old current=new"]
+
     def test_params_mismatch_is_incomparable(self):
         comparison = compare_report(
             _payload(params={"tasks": 10}), _payload(params={"tasks": 99})

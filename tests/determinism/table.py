@@ -2,7 +2,8 @@
 """The determinism probe table: every pinned same-seed digest, in one place.
 
 Each :class:`Row` is one small seeded run on one substrate (DES,
-columnar, volunteer, grid or MapReduce), with the sha256 digests it must
+columnar, volunteer deployment, hand-wired volunteer clients, grid or
+MapReduce), with the sha256 digests it must
 reproduce and a check that the run takes the path the row is named for.
 Every digest keeps the recipe its probe has always used, so none was
 re-pinned when the probes moved here:
@@ -14,8 +15,10 @@ re-pinned when the probes moved here:
 * columnar ``output``: :func:`columnar_digest` over the report fields,
   each per-task column and the recorder payload;
 * volunteer and grid ``report``: the report's ``to_json()``;
-* MapReduce ``report``: the map report's ``to_json()`` and the reduced
-  output's ``repr``.
+* client ``report``: the JSON of the run's counters, clock and record
+  lines;
+* MapReduce ``report``: the map report's ``to_json()`` text (a frozenset
+  value as its sorted members) and the reduced output's ``repr``.
 
 The golden DES rows were taken from the engine that still matched the
 first trace-log goldens, the payload rows from the engine that counted
@@ -51,8 +54,11 @@ from repro.dca import DcaConfig, run_columnar_dca_columns, run_dca
 from repro.grid import GridConfig, run_grid
 from repro.mapreduce import MapReduceJob, run_mapreduce, wordcount_job
 from repro.obs import TelemetryRecorder
+from repro.sim import Simulator, StopSimulation
 from repro.sim.events import QUEUE_KINDS
 from repro.volunteer import VolunteerConfig, run_volunteer
+from repro.volunteer.client import VolunteerClient, VolunteerNodeProfile
+from repro.volunteer.server import VolunteerServer, WorkUnit
 
 
 class Row(NamedTuple):
@@ -158,10 +164,22 @@ def _run_report(runner: Callable, config_class) -> Callable[[Row, dict], Run]:
     return run_report
 
 
+def _sorted_set(value):
+    """JSON for a set-valued map output: its members in sorted order
+    (``DcaReport.to_json`` encodes result values as-is, and has no set)."""
+    if isinstance(value, frozenset):
+        return sorted(value, key=repr)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _run_mapreduce(row: Row, config: dict) -> Run:
     config = dict(config)
     report = run_mapreduce(config.pop("job")(), row.strategy(), **config)
-    digest = _sha(f"{report.map_report.to_json()}\n{report.output!r}")
+    # The text of ``map_report.to_json()``, which rejects set values.
+    payload = json.loads(report.map_report.to_json(include_records=False))
+    payload["records"] = [dataclasses.asdict(record) for record in report.map_report.records]
+    map_json = json.dumps(payload, sort_keys=True, default=_sorted_set)
+    digest = _sha(f"{map_json}\n{report.output!r}")
     metrics = dict(
         report.map_report.as_dict(),
         output=report.output,
@@ -171,10 +189,83 @@ def _run_mapreduce(row: Row, config: dict) -> Run:
     return Run({"report": digest}, record_lines(report.map_report), metrics, report)
 
 
+class _TracedServer(VolunteerServer):
+    """Notes the event of each assignment, so a client can tell a
+    mid-job suspension from going offline at the top of its loop."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.issued = None
+        self.gaps = {"loop_top": 0, "mid_job": 0}
+
+    def request_work(self, node_id):
+        assignment = super().request_work(node_id)
+        if assignment is not None:
+            self.issued = (node_id, self.sim.events_processed)
+        return assignment
+
+
+class _TracedClient(VolunteerClient):
+    def _offline_gap(self) -> float:
+        # A mid-job gap falls in the event that issued the assignment.
+        mid_job = self.server.issued == (self.profile.node_id, self.sim.events_processed)
+        self.server.gaps["mid_job" if mid_job else "loop_top"] += 1
+        return super()._offline_gap()
+
+
+def _run_clients(row: Row, config: dict) -> Run:
+    """A server and clients wired by hand, as the volunteer unit tests do."""
+    config = dict(config)
+    sim = Simulator(seed=config.pop("seed"))
+
+    def all_done() -> None:
+        raise StopSimulation
+
+    profiles = config.pop("profiles")
+    server = _TracedServer(
+        sim, row.strategy(), deadline=config.pop("deadline"), pool_size=len(profiles),
+        on_all_done=all_done,
+    )
+    for unit_id in range(config.pop("units")):
+        server.submit(WorkUnit(unit_id=unit_id, payload=unit_id, true_value=2 * unit_id, wrong_value=-1))
+    computed = []
+
+    def compute(payload):
+        computed.append(payload)
+        return 2 * payload
+
+    clients = [
+        _TracedClient(sim, server, profile, sim.rng.stream(f"c{profile.node_id}"), compute=compute)
+        for profile in profiles
+    ]
+    sim.run(until=config.pop("until"))
+    assert not config, f"unused config {sorted(config)}"
+    metrics = dict(
+        now=sim.now,
+        events=sim.events_processed,
+        pending=sim.pending,
+        remaining=server.remaining_units,
+        computed=len(computed),
+        gaps=server.gaps,
+        **{
+            name: getattr(server, name)
+            for name in (
+                "assignments_issued", "results_received", "deadline_misses",
+                "requests_denied", "repeat_assignments",
+            )
+        },
+        clients=[(c.jobs_reported, c.jobs_dropped, c.offline_periods) for c in clients],
+    )
+    lines = record_lines(server)
+    digest = _sha(json.dumps(dict(metrics, records=lines), sort_keys=True))
+    return Run({"report": digest}, lines, metrics, metrics)
+
+
 RUNNERS = {
     "des": _run_des,
     "columnar": _run_columnar,
     "volunteer": _run_report(run_volunteer, VolunteerConfig),
+    "client": _run_clients,
     "grid": _run_report(run_grid, GridConfig),
     "mapreduce": _run_mapreduce,
 }
@@ -492,6 +583,23 @@ def _upper() -> MapReduceJob:
     return MapReduceJob(chunks=chunks, map_function=str.upper, reduce_function=_append, identity=())
 
 
+def _words(chunk: str) -> frozenset:
+    return frozenset(chunk.split())
+
+
+def _union(output, value):
+    """Sorted union of words; a lost vote adds the corruptor's tuple as text."""
+    words = value if isinstance(value, frozenset) else {repr(value)}
+    return tuple(sorted(set(output) | words))
+
+
+def _vocabulary() -> MapReduceJob:
+    """Map outputs are sets of words, whose ``repr`` lists them in hash order."""
+    words = ("to be or not to be that is the question " * 3).split()
+    chunks = tuple(" ".join(words[index:index + 4]) for index in range(20))
+    return MapReduceJob(chunks=chunks, map_function=_words, reduce_function=_union, identity=())
+
+
 OTHER_ROWS = [
     # A synthetic deployment; its clients' RNG streams are named by string.
     Row(
@@ -499,6 +607,27 @@ OTHER_ROWS = [
         dict(use_sat=False, tasks=40, seed=5),
         {"report": "7843e87932a9161249f365a593bb0a0a4bf71829733ca2842d4976d5159357a4"},
         lambda r: len(r.records) == 40,
+    ),
+    # Clients that cycle offline, drop jobs and compute, wired by hand:
+    # every branch of the client's loop, up to the all-done stop.
+    Row(
+        "client", "cycling", lambda: TraditionalRedundancy(3),
+        dict(
+            seed=13, units=30, deadline=4.0, until=5_000.0,
+            profiles=tuple(
+                VolunteerNodeProfile(
+                    node_id=i, mean_online=3.0 + i, mean_offline=2.0,
+                    unresponsive_prob=0.15, seeded_fault_prob=0.1,
+                )
+                for i in range(8)
+            ),
+        ),
+        {"report": "0f6d67de486b526d83d8dcf8e865ed79d5d229fdee2aab1fd8e26d60f285be77"},
+        lambda m: (
+            m["gaps"]["loop_top"] > 0 and m["gaps"]["mid_job"] > 0 and m["computed"] > 0
+            and m["deadline_misses"] > 0 and sum(c[1] for c in m["clients"]) > 0
+            and m["remaining"] == 0 and m["pending"] > 0
+        ),
     ),
     # Per-site RNG streams are named by string.
     Row(
@@ -518,6 +647,13 @@ OTHER_ROWS = [
         "mapreduce", "upper", lambda: TraditionalRedundancy(1),
         dict(job=_upper, nodes=20, reliability=0.5, seed=3),
         {"report": "0e40b6f4221ac400c4f024f31497ec3ab540ba81e62a76b1ca34c02e9e5f1b99"},
+        lambda r: r.corrupted_chunks > 0,
+    ),
+    # Set-valued map outputs: the corruptor's tag must not follow hash order.
+    Row(
+        "mapreduce", "vocabulary", lambda: TraditionalRedundancy(1),
+        dict(job=_vocabulary, nodes=20, reliability=0.5, seed=3),
+        {"report": "8ccbedea069196dcdebfde6946cb230272e3135e667b227bc4b8ea478b5d3717"},
         lambda r: r.corrupted_chunks > 0,
     ),
 ]

@@ -1,5 +1,7 @@
 """Tests for the MapReduce layer on the redundant DCA."""
 
+import zlib
+
 import pytest
 
 from repro.core import IterativeRedundancy, NoRedundancy, TraditionalRedundancy
@@ -55,6 +57,16 @@ class TestDefaultCorruptor:
     def test_count_tuples_stay_reduce_compatible(self):
         corrupted = default_corruptor(1, (("a", 1), ("b", 2)))
         assert all(len(pair) == 2 for pair in corrupted)
+
+    @pytest.mark.parametrize("output", ["opaque", ("x",), ("a", (2, 3.5)), None])
+    def test_tag_is_the_crc_of_the_repr(self, output):
+        assert default_corruptor(2, output) == ("corrupted", 2, zlib.crc32(repr(output).encode()) & 0xFFFF)
+
+    def test_set_tag_lists_members_sorted(self):
+        """A set's ``repr`` follows hash order; its tag must not."""
+        words = frozenset({"to", "be", "or", "not"})
+        text = "(frozenset({'be', 'not', 'or', 'to'}), 1)"
+        assert default_corruptor(3, (words, 1)) == ("corrupted", 3, zlib.crc32(text.encode()) & 0xFFFF)
 
 
 class TestExecution:

@@ -56,7 +56,7 @@ class TestClientLoop:
     def test_clients_stop_when_no_work_remains(self):
         profiles = [VolunteerNodeProfile(node_id=i) for i in range(5)]
         sim, server, clients = self._run(profiles, until=1000.0)
-        assert all(not client.process.alive for client in clients)
+        assert all(not client.alive for client in clients)
 
     def test_seeded_faults_produce_wrong_results(self):
         profiles = [
