@@ -170,7 +170,7 @@ def bench_dca_run(
 #: ``above_telemetry_ceiling`` gate): the slowest of ten full-size runs
 #: plus 0.30, re-derived whenever the recorder gets cheaper and never
 #: raised (see ``docs/performance.md``).
-TELEMETRY_RATIO_CEILING = 1.81
+TELEMETRY_RATIO_CEILING = 1.66
 
 
 @_suite

@@ -17,6 +17,13 @@ from typing import Dict, List, Optional
 from repro.core.types import ResultValue
 
 
+def _set_as_list(value):
+    """``json.dumps`` fallback: a set's members as a list sorted by ``repr``."""
+    if isinstance(value, (set, frozenset)):
+        return sorted(value, key=repr)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @dataclass(frozen=True)
 class TaskRecord:
     """The final record of one task's execution."""
@@ -162,9 +169,11 @@ class DcaReport:
     def to_json(self, *, include_records: bool = True) -> str:
         """Serialise the full report (optionally without per-task records).
 
-        Result values are JSON-encoded as-is, so only JSON-representable
-        values (the binary model's booleans, numbers, strings, lists)
-        round-trip; exotic hashables would need a custom encoder.
+        Result values are JSON-encoded as-is, except that a set or
+        frozenset (a MapReduce job's set-valued map output) becomes a list
+        of its members sorted by ``repr``, so the text never follows
+        string-hash order.  Other values that are not JSON-representable
+        raise :class:`TypeError`.
         """
         payload = {
             "strategy": self.strategy,
@@ -180,11 +189,15 @@ class DcaReport:
             if include_records
             else [],
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, default=_set_as_list)
 
     @classmethod
     def from_json(cls, text: str) -> "DcaReport":
-        """Reconstruct a report serialised by :meth:`to_json`."""
+        """Reconstruct a report serialised by :meth:`to_json`.
+
+        JSON has no set: a set-valued result comes back as the sorted
+        list :meth:`to_json` wrote, and a tuple as a list.
+        """
         payload = json.loads(text)
         records = [TaskRecord(**record) for record in payload.pop("records")]
         return cls(records=records, **payload)

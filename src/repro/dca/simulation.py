@@ -35,8 +35,9 @@ class DcaSimulation:
         self.pool = NodePool()
         # The hooks hold the server, never this object, and the server
         # holds nothing of churn (run() stops churn once every task has a
-        # verdict): a finished simulation forms no reference cycle, so
-        # reference counting frees it.
+        # verdict, and drops the events still queued): a finished
+        # simulation forms no reference cycle, so reference counting
+        # frees it.
         self.server = server = TaskServer(
             self.sim,
             self.pool,
@@ -67,7 +68,14 @@ class DcaSimulation:
         self.pool.joins = 0
 
     def run(self) -> DcaReport:
-        """Execute the computation and aggregate the report."""
+        """Execute the computation and aggregate the report.
+
+        Once the report is built, the events still queued (churn's two
+        timers, jobs in flight at a ``max_time`` horizon) are dropped:
+        each holds the simulator through its callback's owner, so
+        keeping them would leave a finished churn or horizon run in a
+        cycle that only the cyclic collector frees.
+        """
         config = self.config
         try:
             for task in Workload(config.tasks).tasks():
@@ -83,7 +91,7 @@ class DcaSimulation:
             self.churn.stop()
         if self.sim.recorder is not None:
             self.sim.recorder.gauge(DCA_MAKESPAN, self.sim.now)
-        return DcaReport(
+        report = DcaReport(
             strategy=config.strategy.describe(),
             tasks_submitted=config.tasks,
             records=self.server.records,
@@ -95,6 +103,8 @@ class DcaSimulation:
             nodes_departed=self.pool.departures,
             seed=config.seed,
         )
+        self.sim.queue.clear()
+        return report
 
 
 def _stop_simulation() -> None:

@@ -11,6 +11,7 @@ Example:
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Callable, Optional, Union
 
 from repro.obs.names import SIM_COMPACTIONS, SIM_EVENTS, SIM_HEAP_SIZE
@@ -177,6 +178,14 @@ class Simulator:
             max_events: If given, stop after that many additional events.
                 Useful as a runaway guard in tests.
 
+        The cyclic garbage collector is paused for the loop, and the
+        caller's setting is restored on every way out; a caller that had
+        it disabled keeps it disabled.  No DES substrate makes cyclic
+        garbage mid-run (``tests/sim/test_cycle_free_runs.py``), so a
+        pass would only re-walk the run's live state.  The collector is
+        process-wide: cycles other threads make during a run wait until
+        it ends.
+
         Raises:
             ValueError: if ``max_events`` is not ``None`` or a
                 non-negative integer (a bool, a float such as NaN -- which
@@ -196,6 +205,8 @@ class Simulator:
         if recorder is not None:
             events_before = self._events_processed
             compactions_before = queue.compactions
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 if max_events is not None and processed >= max_events:
@@ -225,6 +236,8 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
+            if collecting:
+                gc.enable()
         if recorder is not None:
             # Run-level aggregates only: the hot loop above is untouched,
             # so telemetry-off runs execute exactly the historical path.

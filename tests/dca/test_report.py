@@ -1,6 +1,7 @@
 # reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """Tests for report aggregation and JSON persistence."""
 
+import json
 import math
 
 import pytest
@@ -90,6 +91,29 @@ class TestPersistence:
     def test_json_is_stable_text(self):
         report = sample_report()
         assert report.to_json() == report.to_json()
+
+    def test_set_values_encode_as_lists_sorted_by_repr(self):
+        words = frozenset({"to", "be", "or", "not", 3})
+        report = DcaReport(
+            strategy="x",
+            tasks_submitted=2,
+            records=[
+                TaskRecord(0, words, True, 1, 1, 1.0, 1.0),
+                TaskRecord(1, {"b", "a"}, True, 1, 1, 1.0, 1.0),
+            ],
+        )
+        values = [record["value"] for record in json.loads(report.to_json())["records"]]
+        # repr order: "'be'" sorts before "3".
+        assert values == [["be", "not", "or", "to", 3], ["a", "b"]]
+        clone = DcaReport.from_json(report.to_json())
+        assert clone.records[0].value == ["be", "not", "or", "to", 3]
+
+    def test_unencodable_values_still_raise(self):
+        report = DcaReport(
+            strategy="x", tasks_submitted=1, records=[TaskRecord(0, object(), True, 1, 1, 1.0, 1.0)]
+        )
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            report.to_json()
 
     def test_real_run_round_trips(self):
         from repro.core import IterativeRedundancy

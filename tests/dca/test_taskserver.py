@@ -482,16 +482,19 @@ class TestDeferredDeadlines:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"spot_check_rate": 0.1}, {"unresponsive_prob": 0.1}],
-        ids=["plain", "spot-checks", "unresponsive"],
+        [
+            {},
+            {"spot_check_rate": 0.1},
+            {"unresponsive_prob": 0.1},
+            {"arrival_rate": 5, "departure_rate": 5},
+            {"max_time": 3.0},
+        ],
+        ids=["plain", "spot-checks", "unresponsive", "churn", "horizon"],
     )
     def test_finished_simulation_is_freed_by_reference_counting(self, overrides):
-        """A finished simulation leaves no cyclic garbage behind.
-
-        Churn runs are excluded: their pending arrival and departure
-        events hold the churn process, which holds the simulator that
-        queues them, so a churn run still ends in a cycle.
-        """
+        """A finished simulation leaves no cyclic garbage behind, also
+        when churn's timers or jobs in flight at a horizon were still
+        queued when the loop stopped."""
         simulation = DcaSimulation(
             DcaConfig(
                 strategy=TraditionalRedundancy(9),
@@ -505,9 +508,13 @@ class TestDeferredDeadlines:
         gc.collect()
         gc.disable()
         try:
-            simulation.run()
+            report = simulation.run()
             del simulation
             unreachable = gc.collect()
         finally:
             gc.enable()
         assert unreachable == 0
+        if "max_time" in overrides:
+            assert report.tasks_completed < report.tasks_submitted
+        if "arrival_rate" in overrides:
+            assert report.nodes_joined > 0 and report.nodes_departed > 0

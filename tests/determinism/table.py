@@ -17,8 +17,9 @@ re-pinned when the probes moved here:
 * volunteer and grid ``report``: the report's ``to_json()``;
 * client ``report``: the JSON of the run's counters, clock and record
   lines;
-* MapReduce ``report``: the map report's ``to_json()`` text (a frozenset
-  value as its sorted members) and the reduced output's ``repr``.
+* MapReduce ``report``: the map report's ``to_json()`` text (which
+  writes a frozenset value as its members sorted by ``repr``) and the
+  reduced output's ``repr``.
 
 The golden DES rows were taken from the engine that still matched the
 first trace-log goldens, the payload rows from the engine that counted
@@ -164,21 +165,10 @@ def _run_report(runner: Callable, config_class) -> Callable[[Row, dict], Run]:
     return run_report
 
 
-def _sorted_set(value):
-    """JSON for a set-valued map output: its members in sorted order
-    (``DcaReport.to_json`` encodes result values as-is, and has no set)."""
-    if isinstance(value, frozenset):
-        return sorted(value, key=repr)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _run_mapreduce(row: Row, config: dict) -> Run:
     config = dict(config)
     report = run_mapreduce(config.pop("job")(), row.strategy(), **config)
-    # The text of ``map_report.to_json()``, which rejects set values.
-    payload = json.loads(report.map_report.to_json(include_records=False))
-    payload["records"] = [dataclasses.asdict(record) for record in report.map_report.records]
-    map_json = json.dumps(payload, sort_keys=True, default=_sorted_set)
+    map_json = report.map_report.to_json()
     digest = _sha(f"{map_json}\n{report.output!r}")
     metrics = dict(
         report.map_report.as_dict(),

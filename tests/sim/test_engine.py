@@ -1,5 +1,7 @@
 """Unit tests for the simulator core."""
 
+import gc
+
 import pytest
 
 from repro.core import IterativeRedundancy
@@ -250,10 +252,119 @@ class TestCancelFiredEvent:
                 queue=queue,
             )
         )
+        counts = []
+        loop = simulation.sim.run
+
+        def run_then_count(*args, **kwargs):
+            # Counted before DcaSimulation.run drops what is still queued.
+            loop(*args, **kwargs)
+            events = simulation.sim.queue
+            live = sum(1 for entry in _queued_entries(events) if not entry[3].cancelled)
+            counts.append((len(events), live))
+
+        simulation.sim.run = run_then_count
         simulation.run()
-        events = simulation.sim._queue
-        live = sum(1 for entry in _queued_entries(events) if not entry[3].cancelled)
-        assert len(events) == live
+        [(length, live)] = counts
+        assert length == live > 0
+        assert simulation.sim.pending == 0
+
+
+@pytest.fixture
+def collector():
+    """Leaves the cyclic collector as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _raise(exc):
+    def callback(ev):
+        raise exc
+
+    return callback
+
+
+#: Each way out of ``Simulator.run``: (schedule on a fresh simulator,
+#: run keyword arguments, exception the run raises or None).
+EXITS = {
+    "drained": (lambda sim: sim.schedule(1.0, lambda ev: None), {}, None),
+    "until": (
+        lambda sim: [sim.schedule(t, lambda ev: None) for t in (1.0, 5.0)],
+        {"until": 2.0},
+        None,
+    ),
+    "max_events": (
+        lambda sim: [sim.schedule(float(t), lambda ev: None) for t in range(3)],
+        {"max_events": 1},
+        None,
+    ),
+    "stop": (lambda sim: sim.schedule(1.0, _raise(StopSimulation())), {}, None),
+    "raising_callback": (lambda sim: sim.schedule(1.0, _raise(KeyError("boom"))), {}, KeyError),
+}
+
+
+@pytest.mark.usefixtures("collector")
+class TestCollectorPause:
+    """``run`` pauses the cyclic collector and restores the caller's setting."""
+
+    def test_callbacks_run_with_the_collector_paused(self):
+        gc.enable()
+        sim = Simulator(seed=1)
+        seen = []
+        sim.schedule(1.0, lambda ev: seen.append(gc.isenabled()))
+        sim.schedule(2.0, lambda ev: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("exit_name", sorted(EXITS))
+    def test_every_way_out_restores_the_callers_setting(self, exit_name, enabled):
+        schedule, kwargs, raises = EXITS[exit_name]
+        sim = Simulator(seed=1)
+        schedule(sim)
+        _set_collector(enabled)
+        if raises is None:
+            sim.run(**kwargs)
+        else:
+            with pytest.raises(raises):
+                sim.run(**kwargs)
+        assert gc.isenabled() is enabled
+        assert sim.events_processed == 1
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_a_reentrant_call_leaves_the_collector_untouched(self, enabled):
+        gc.enable()
+        sim = Simulator(seed=1)
+        seen = []
+
+        def reenter(ev):
+            _set_collector(enabled)
+            with pytest.raises(SimulationError, match="not reentrant"):
+                sim.run()
+            seen.append(gc.isenabled())
+
+        sim.schedule(1.0, reenter)
+        sim.run()
+        assert seen == [enabled]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_a_rejected_limit_leaves_the_collector_untouched(self, enabled):
+        _set_collector(enabled)
+        with pytest.raises(ValueError):
+            Simulator(seed=1).run(max_events=-1)
+        assert gc.isenabled() is enabled
 
 
 class TestDeterminism:
