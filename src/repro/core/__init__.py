@@ -58,18 +58,10 @@ from repro.core.iterative import IterativeRedundancy
 from repro.core.iterative_complex import ComplexIterativeRedundancy
 from repro.core.credibility import CredibilityManager, CredibilityStrategy
 from repro.core.adaptive import AdaptiveReplication
-from repro.core.analytic import (
-    AnalyticPrediction,
-    analytic_prediction,
-    supports_analytic,
-)
 from repro.core import analysis, estimation, sprt
 
 __all__ = [
     "AdaptiveReplication",
-    "AnalyticPrediction",
-    "analytic_prediction",
-    "supports_analytic",
     "ComplexIterativeRedundancy",
     "CredibilityManager",
     "CredibilityStrategy",

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.dca.churn import ChurnProcess
 from repro.dca.config import DcaConfig
 from repro.dca.pool import NodePool
 from repro.dca.report import DcaReport
 from repro.dca.taskserver import TaskServer
-from repro.dca.workload import Workload
+from repro.dca.workload import Task, Workload
 from repro.obs.names import DCA_MAKESPAN
 from repro.obs.recorder import Recorder
 from repro.sim.engine import Simulator, StopSimulation
@@ -67,8 +67,12 @@ class DcaSimulation:
         # Initial membership is part of setup, not churn statistics.
         self.pool.joins = 0
 
-    def run(self) -> DcaReport:
+    def run(self, tasks: Optional[Iterable[Task]] = None) -> DcaReport:
         """Execute the computation and aggregate the report.
+
+        Args:
+            tasks: The tasks to submit, ``config.tasks`` of them; default
+                the synthetic binary :class:`~repro.dca.workload.Workload`.
 
         Once the report is built, the events still queued (churn's two
         timers, jobs in flight at a ``max_time`` horizon) are dropped:
@@ -78,7 +82,9 @@ class DcaSimulation:
         """
         config = self.config
         try:
-            for task in Workload(config.tasks).tasks():
+            if tasks is None:
+                tasks = Workload(config.tasks).tasks()
+            for task in tasks:
                 self.server.submit(task)
             self.churn.start()
             self.sim.run(until=config.max_time)

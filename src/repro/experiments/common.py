@@ -5,15 +5,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.core.strategy import RedundancyStrategy
-from repro.parallel import (
-    ReplicateEnvelope,
-    aggregate_metrics,
-    dca_replicate_specs,
-    run_dca_replicates,
-)
+from repro.parallel import ReplicateEnvelope, aggregate_metrics
 
 
 @dataclass(frozen=True)
@@ -142,85 +136,6 @@ def measurement_from_envelopes(
         mean_response_time=aggregates["mean_response_time"].mean,
         max_jobs=max(int(envelope.metrics["max_jobs"]) for envelope in envelopes),
         replications=len(envelopes),
-    )
-
-
-def replicate_dca(
-    strategy_factory: Callable[[], RedundancyStrategy],
-    *,
-    tasks: int,
-    nodes: int,
-    reliability: float,
-    replications: int = 3,
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-    mode: str = "sim",
-    **config_overrides,
-) -> ReplicatedMeasurement:
-    """Run several independent DES replications and aggregate with errors.
-
-    A fresh strategy instance per replication keeps node-aware strategies
-    honest; per-replicate seeds spawn deterministically from the base
-    seed (:func:`repro.parallel.replicate_seeds`), so the same base seed
-    always reproduces the same replicates.
-
-    Args:
-        jobs: Worker processes for the replication engine.  ``1``
-            (default) runs the exact in-process serial path; ``None``
-            uses every core.  All values produce identical results.
-        mode: ``"sim"`` (default) runs the DES.  ``"analytic"`` evaluates
-            the paper's closed forms instead (Equations (1)-(6) via
-            :mod:`repro.core.analytic`) -- orders of magnitude faster, zero
-            error bars, but only valid for the idealised regime those
-            equations model; unsupported strategies or config overrides
-            raise :class:`ValueError` rather than guessing.
-    """
-    if replications < 1:
-        raise ValueError(f"need at least one replication, got {replications}")
-    if mode == "analytic":
-        return _analytic_measurement(
-            strategy_factory, reliability, replications, config_overrides
-        )
-    if mode != "sim":
-        raise ValueError(f"mode must be 'sim' or 'analytic', got {mode!r}")
-    specs = dca_replicate_specs(
-        strategy_factory,
-        tasks=tasks,
-        nodes=nodes,
-        reliability=reliability,
-        replications=replications,
-        seed=seed,
-        **config_overrides,
-    )
-    return measurement_from_envelopes(run_dca_replicates(specs, jobs=jobs))
-
-
-def _analytic_measurement(
-    strategy_factory: Callable[[], RedundancyStrategy],
-    reliability: float,
-    replications: int,
-    config_overrides: Dict[str, object],
-) -> ReplicatedMeasurement:
-    """The ``mode="analytic"`` fast path: closed forms, zero error bars."""
-    from repro.core.analytic import analytic_prediction, check_analytic_overrides
-
-    check_analytic_overrides(config_overrides)
-    duration_low = float(config_overrides.get("duration_low", 0.5))
-    duration_high = float(config_overrides.get("duration_high", 1.5))
-    prediction = analytic_prediction(
-        strategy_factory(),
-        reliability,
-        duration_low=duration_low,
-        duration_high=duration_high,
-    )
-    return ReplicatedMeasurement(
-        mean_reliability=prediction.reliability,
-        mean_cost=prediction.cost_factor,
-        reliability_err=0.0,
-        cost_err=0.0,
-        mean_response_time=prediction.mean_response_time,
-        max_jobs=prediction.max_jobs,
-        replications=replications,
     )
 
 

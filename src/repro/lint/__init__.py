@@ -25,7 +25,6 @@ Run the linter with ``python -m repro.lint [paths]`` or the
 from repro.lint.config import LintConfig, load_config
 from repro.lint.engine import LintEngine, ModuleContext, Rule, register, registered_rules
 from repro.lint.findings import Finding, Severity
-from repro.lint.fixes import fix_source
 from repro.lint.graph import ImportGraph, find_package_root, load_project
 from repro.lint.project import ProjectReport, lint_project
 from repro.lint.project_rules import (
@@ -50,7 +49,6 @@ __all__ = [
     "Rule",
     "Severity",
     "find_package_root",
-    "fix_source",
     "lint_project",
     "load_config",
     "load_project",

@@ -13,8 +13,7 @@ In both modes per-file linting fans out over ``--jobs`` worker
 processes via :func:`repro.parallel.parallel_map`, and findings are
 globally sorted, so output is byte-identical for any ``--jobs``.  The
 linter keeps no state between runs; the retired ``--no-cache`` flag is
-accepted and does nothing.  ``--fix`` rewrites the mechanical findings
-(RL004, RL006, RL304) in place before linting.
+accepted and does nothing.
 
 Output formats (``--output`` / legacy ``-f/--format``): ``text``,
 ``json`` (schema-versioned payload), and ``sarif`` (SARIF 2.1.0, for CI
@@ -85,13 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     # working.
     parser.add_argument("--flows", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--tensors", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="rewrite mechanical findings in place (RL004 mutable "
-        "defaults, RL006 swallowed exceptions, RL304 unstable sorts) "
-        "before linting",
-    )
     # The linter keeps no cache; --no-cache is still accepted, as a no-op,
     # so existing invocations keep working.
     parser.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
@@ -262,15 +254,6 @@ def _run(args: argparse.Namespace) -> int:
     if missing:
         print(f"repro-lint: path(s) not found: {', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.fix:
-        from repro.lint.fixes import fix_paths
-
-        files_changed, applied = fix_paths(paths)
-        print(
-            f"repro-lint: applied {applied} fix(es) in {files_changed} file(s)",
-            file=sys.stderr,
-        )
 
     report = lint_project(
         paths,

@@ -698,8 +698,7 @@ def unstable_sort_call(node: ast.AST, numpy_names: FrozenSet[str]) -> Optional[s
     calls, which only arrays have.  A bare ``.sort()`` is not matched:
     its receiver could be a list, whose ``sort`` takes no ``kind``.  A
     ``kind=`` that is not a literal, or ``**kwargs`` that may carry one,
-    is not evidence of instability.  RL304 and its ``--fix`` rewriter
-    share this matcher.
+    is not evidence of instability.
     """
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
         return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, List
 
 from repro.core.strategy import RedundancyStrategy
 from repro.dca.config import DcaConfig
@@ -126,43 +126,37 @@ class MapReduceEngine:
 
     def run(self, job: MapReduceJob) -> MapReduceReport:
         """Execute the map phase redundantly, then reduce the verdicts."""
-        true_outputs: Dict[int, MapOutput] = {}
-        simulation = DcaSimulation(
-            DcaConfig(
-                strategy=self.strategy,
-                tasks=job.num_tasks,  # placeholder; tasks submitted below
-                nodes=self.nodes,
-                reliability=self.reliability,
-                seed=self.seed,
-                **self.config_overrides,
-            )
-        )
-        # Submit the real map tasks instead of the workload's synthetic
-        # binary ones: each task's true value is the honest map output and
-        # its wrong value the colluding corruption.
+        # The real map tasks replace the workload's synthetic binary ones:
+        # each task's true value is the honest map output and its wrong
+        # value the colluding corruption.
+        true_outputs: List[MapOutput] = []
+        tasks: List[Task] = []
         for index, chunk in enumerate(job.chunks):
             true_output = job.map_function(chunk)
-            true_outputs[index] = true_output
             wrong_output = self.corruptor(index, true_output)
             if wrong_output == true_output:
                 raise ValueError(
                     f"corruptor returned the true output for chunk {index}; "
                     "corruption must differ"
                 )
-            simulation.server.submit(
-                Task(task_id=index, true_value=true_output, wrong_value=wrong_output)
+            true_outputs.append(true_output)
+            tasks.append(Task(task_id=index, true_value=true_output, wrong_value=wrong_output))
+        map_report = DcaSimulation(
+            DcaConfig(
+                strategy=self.strategy,
+                tasks=job.num_tasks,
+                nodes=self.nodes,
+                reliability=self.reliability,
+                seed=self.seed,
+                **self.config_overrides,
             )
-        simulation.churn.start()
-        simulation.sim.run()
-        map_report = DcaReport(
-            strategy=self.strategy.describe(),
-            tasks_submitted=job.num_tasks,
-            records=simulation.server.records,
-            makespan=simulation.sim.now,
-            total_jobs_dispatched=simulation.server.total_jobs_dispatched,
-            jobs_timed_out=simulation.server.jobs_timed_out,
-            seed=self.seed,
-        )
+        ).run(tasks)
+        if map_report.tasks_completed < job.num_tasks:
+            raise ValueError(
+                f"the map phase reached its max_time horizon with "
+                f"{job.num_tasks - map_report.tasks_completed} of {job.num_tasks} "
+                "chunks unverified; the reduce needs every chunk"
+            )
         # Reduce accepted map outputs in chunk order.
         verdicts = {record.task_id: record.value for record in map_report.records}
         output = job.identity

@@ -1,134 +1,77 @@
-# reprolint: disable-file=RL003 -- asserting that two closed-form evaluations are the *same* expression is the point
-"""The analytic fast path: closed-form self-consistency and, the part
-that earns it a place in sweeps, cross-validation against full DES
-replications.
+"""The closed forms cross-validated against full DES replications.
 
-Tolerances (documented in ``docs/performance.md``): in the idealised
-regime the equations model -- homogeneous reliability, no churn, ample
-nodes so the system is unloaded -- simulation means over thousands of
-tasks agree with the closed forms within
+Figures 5 and 6 print Equations (1)-(6) of :mod:`repro.core.analysis`
+next to every simulated point; this checks that the one entry point the
+figures measure a point through (``dca_replicate_specs`` ->
+``run_dca_replicates`` -> ``measurement_from_envelopes``) agrees with
+them.  In the idealised regime the equations model -- homogeneous
+reliability, no churn, ample nodes so the system is unloaded --
+simulation means over thousands of tasks agree with the closed forms
+within
 
 * reliability: +-0.02 absolute (binomial noise at 2000 tasks),
 * cost factor: +-5% relative,
-* response time: +-10% relative (the analytic model assumes every wave
+* response time: +-10% relative (the unloaded model assumes every wave
   starts instantly; ample nodes make that nearly true).
 
-``max_jobs`` is not cross-validated numerically: the simulation reports
-the realised maximum over its tasks while the analytic value is the
-0.999 quantile of the per-task distribution -- same order, different
-statistic.
+``max_jobs`` is not cross-validated: the simulation reports the realised
+maximum over its tasks, which has no closed form for iterative
+redundancy (Section 5.2).
 """
 
 import pytest
 
 from repro.core import (
-    AdaptiveReplication,
-    ComplexIterativeRedundancy,
     IterativeRedundancy,
-    NoRedundancy,
     ProgressiveRedundancy,
     TraditionalRedundancy,
     analysis,
-    analytic_prediction,
-    supports_analytic,
 )
-from repro.core.analytic import check_analytic_overrides
-from repro.experiments.common import replicate_dca
+from repro.experiments.common import measurement_from_envelopes
+from repro.parallel import dca_replicate_specs, run_dca_replicates
 
-UNLOADED = dict(tasks=2000, nodes=4000, reliability=0.7, replications=2, seed=7)
+R = 0.7
+UNLOADED = dict(tasks=2000, nodes=4000, reliability=R, replications=2, seed=7)
 
-
-class TestClosedFormConsistency:
-    def test_traditional_matches_equations_1_and_2(self):
-        p = analytic_prediction(TraditionalRedundancy(5), 0.7)
-        assert p.cost_factor == analysis.traditional_cost(5)
-        assert p.reliability == analysis.traditional_reliability(0.7, 5)
-        assert p.max_jobs == 5
-
-    def test_progressive_matches_equations_3_and_4(self):
-        p = analytic_prediction(ProgressiveRedundancy(7), 0.7)
-        assert p.cost_factor == analysis.progressive_cost(0.7, 7)
-        assert p.reliability == analysis.traditional_reliability(0.7, 7)
-        assert p.max_jobs == 7
-
-    def test_iterative_matches_equations_5_and_6(self):
-        p = analytic_prediction(IterativeRedundancy(3), 0.7)
-        assert p.cost_factor == analysis.iterative_cost(0.7, 3)
-        assert p.reliability == analysis.iterative_reliability(0.7, 3)
-        # The 0.999 quantile of an unbounded distribution is finite and
-        # at least the minimum possible total (d jobs).
-        assert p.max_jobs >= 3
-
-    def test_complex_iterative_equals_simple_at_equivalent_margin(self):
-        """Theorem 1, analytically: the r-aware algorithm's prediction is
-        the margin algorithm's at ``equivalent_margin``."""
-        complex_strategy = ComplexIterativeRedundancy(0.7, 0.967)
-        simple = IterativeRedundancy(complex_strategy.equivalent_margin)
-        p_complex = analytic_prediction(complex_strategy, 0.7)
-        p_simple = analytic_prediction(simple, 0.7)
-        assert p_complex.reliability == p_simple.reliability
-        assert p_complex.cost_factor == p_simple.cost_factor
-
-    def test_no_redundancy_is_the_k1_degenerate_case(self):
-        p = analytic_prediction(NoRedundancy(), 0.7)
-        assert p.reliability == pytest.approx(0.7)
-        assert p.cost_factor == 1.0
-        assert p.max_jobs == 1
-
-    def test_supports_analytic_classification(self):
-        assert supports_analytic(TraditionalRedundancy(3))
-        assert supports_analytic(IterativeRedundancy(2))
-        assert not supports_analytic(AdaptiveReplication())
-
-    def test_unsupported_strategy_rejected(self):
-        with pytest.raises(ValueError, match="no closed form"):
-            analytic_prediction(AdaptiveReplication(), 0.7)
-
-    def test_unsupported_override_rejected(self):
-        with pytest.raises(ValueError, match="arrival_rate"):
-            check_analytic_overrides({"arrival_rate": 0.5})
-
-    def test_zero_valued_and_duration_overrides_accepted(self):
-        check_analytic_overrides(
-            {"arrival_rate": 0.0, "duration_low": 0.25, "duration_high": 2.0}
-        )
+#: Per technique: (strategy factory, closed-form reliability, closed-form
+#: cost, ``expected_response_time`` technique name, its k or d).
+CLOSED_FORMS = {
+    "TR5": (
+        lambda: TraditionalRedundancy(5),
+        analysis.traditional_reliability(R, 5),
+        analysis.traditional_cost(5),
+        "traditional",
+        5,
+    ),
+    "PR7": (
+        lambda: ProgressiveRedundancy(7),
+        analysis.progressive_reliability(R, 7),
+        analysis.progressive_cost(R, 7),
+        "progressive",
+        7,
+    ),
+    "IR3": (
+        lambda: IterativeRedundancy(3),
+        analysis.iterative_reliability(R, 3),
+        analysis.iterative_cost(R, 3),
+        "iterative",
+        3,
+    ),
+}
 
 
 class TestCrossValidationAgainstSimulation:
-    """mode="analytic" must predict what mode="sim" measures."""
+    """The closed forms must predict what the DES measures."""
 
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: TraditionalRedundancy(5),
-            lambda: ProgressiveRedundancy(7),
-            lambda: IterativeRedundancy(3),
-        ],
-        ids=["TR5", "PR7", "IR3"],
-    )
-    def test_analytic_matches_unloaded_simulation(self, factory):
-        sim = replicate_dca(factory, mode="sim", **UNLOADED)
-        ana = replicate_dca(factory, mode="analytic", **UNLOADED)
-        assert ana.mean_reliability == pytest.approx(
-            sim.mean_reliability, abs=0.02
+    @pytest.mark.parametrize("technique", sorted(CLOSED_FORMS))
+    def test_analytic_matches_unloaded_simulation(self, technique):
+        factory, reliability, cost, name, param = CLOSED_FORMS[technique]
+        sim = measurement_from_envelopes(
+            run_dca_replicates(dca_replicate_specs(factory, **UNLOADED))
         )
-        assert ana.mean_cost == pytest.approx(sim.mean_cost, rel=0.05)
-        assert ana.mean_response_time == pytest.approx(
+        # reprolint: disable-next-line=RL003 -- pytest.approx is the tolerance
+        assert reliability == pytest.approx(sim.mean_reliability, abs=0.02)
+        assert cost == pytest.approx(sim.mean_cost, rel=0.05)
+        assert analysis.expected_response_time(R, name, param) == pytest.approx(
             sim.mean_response_time, rel=0.10
         )
-        # Zero error bars: the closed form is exact, not sampled.
-        assert ana.reliability_err == 0.0
-        assert ana.cost_err == 0.0
-
-    def test_analytic_mode_rejects_churned_configuration(self):
-        with pytest.raises(ValueError, match="departure_rate"):
-            replicate_dca(
-                lambda: IterativeRedundancy(2),
-                mode="analytic",
-                departure_rate=0.5,
-                **UNLOADED,
-            )
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            replicate_dca(lambda: IterativeRedundancy(2), mode="magic", **UNLOADED)

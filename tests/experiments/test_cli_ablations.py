@@ -12,10 +12,17 @@ from repro.experiments.common import (
     ExperimentResult,
     Series,
     SeriesPoint,
+    measurement_from_envelopes,
     render_table,
-    replicate_dca,
 )
 from repro.core import IterativeRedundancy
+from repro.parallel import dca_replicate_specs, run_dca_replicates
+
+
+def _measure(jobs=1, **point):
+    """One IR d=2 sweep point, measured the way the figures measure it."""
+    specs = dca_replicate_specs(lambda: IterativeRedundancy(2), **point)
+    return measurement_from_envelopes(run_dca_replicates(specs, jobs=jobs))
 
 
 class TestCli:
@@ -64,14 +71,7 @@ class TestCommon:
         assert "-" in lines[-2]  # nan rendered as '-'
 
     def test_replicate_dca_aggregates(self):
-        m = replicate_dca(
-            lambda: IterativeRedundancy(2),
-            tasks=300,
-            nodes=100,
-            reliability=0.8,
-            replications=2,
-            seed=1,
-        )
+        m = _measure(tasks=300, nodes=100, reliability=0.8, replications=2, seed=1)
         assert m.replications == 2
         assert m.mean_cost > 0
         assert 0 <= m.mean_reliability <= 1
@@ -79,25 +79,12 @@ class TestCommon:
 
     def test_replicate_requires_positive_reps(self):
         with pytest.raises(ValueError):
-            replicate_dca(
-                lambda: IterativeRedundancy(2),
-                tasks=10,
-                nodes=10,
-                reliability=0.7,
-                replications=0,
-            )
+            _measure(tasks=10, nodes=10, reliability=0.7, replications=0, seed=0)
 
     def test_single_replicate_has_zero_error_bars(self):
         # Regression: one replicate must yield 0.0 standard errors (a
         # defined, plottable value), never NaN or a ZeroDivisionError.
-        m = replicate_dca(
-            lambda: IterativeRedundancy(2),
-            tasks=100,
-            nodes=50,
-            reliability=0.8,
-            replications=1,
-            seed=3,
-        )
+        m = _measure(tasks=100, nodes=50, reliability=0.8, replications=1, seed=3)
         assert m.replications == 1
         assert m.cost_err == 0.0
         assert m.reliability_err == 0.0
@@ -106,8 +93,8 @@ class TestCommon:
         kwargs = dict(
             tasks=100, nodes=50, reliability=0.8, replications=2, seed=4
         )
-        serial = replicate_dca(lambda: IterativeRedundancy(2), jobs=1, **kwargs)
-        fanned = replicate_dca(lambda: IterativeRedundancy(2), jobs=3, **kwargs)
+        serial = _measure(jobs=1, **kwargs)
+        fanned = _measure(jobs=3, **kwargs)
         assert serial == fanned
 
     def test_series_by_name(self):

@@ -1,6 +1,6 @@
 """CLI behaviour: exit codes, text/JSON/SARIF output, rule selection,
 project mode (``--project``/``--jobs``), the retired flags
-(``--flows``, ``--tensors``, ``--no-cache``), autofixes (``--fix``),
+(``--flows``, ``--tensors``, ``--no-cache``; ``--fix`` is gone),
 finding order across both modes, and the ``[tool.reprolint]`` config
 table (including the no-tomllib fallback)."""
 
@@ -82,6 +82,14 @@ class TestExitCodes:
             main([flag, str(path)])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_retired_fix_flag_is_a_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.py", "def f(items=[]):\n    return items\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--fix", str(path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fix" in capsys.readouterr().err
+        assert "items=[]" in path.read_text(encoding="utf-8")
 
 
 class TestOutputFormats:
@@ -353,14 +361,6 @@ class TestStableSortRule:
         assert "RL101" in captured.out
         assert "--tensors is retired" in captured.err
 
-    def test_fix_then_plain_relint_exits_zero(self, tmp_path, capsys):
-        root = write_sort_package(tmp_path)
-        assert main(["--fix", str(root)]) == 0
-        capsys.readouterr()
-        source = (root / "dca" / "rank.py").read_text(encoding="utf-8")
-        assert 'np.argsort(weights, kind="stable")' in source
-        assert main([str(root)]) == 0
-
     def test_sarif_carries_rl304(self, tmp_path, capsys):
         root = write_sort_package(tmp_path)
         assert main(["--output", "sarif", str(root)]) == 1
@@ -368,20 +368,6 @@ class TestStableSortRule:
         (run,) = log["runs"]
         assert any(r["ruleId"] == "RL304" for r in run["results"])
         assert "RL304" in {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-
-
-class TestFixFlag:
-    def test_fix_rewrites_then_lints_clean(self, tmp_path, capsys):
-        path = write(tmp_path, "bad.py", "def f(items=[]):\n    return items\n")
-        assert main(["--fix", str(path)]) == 0
-        captured = capsys.readouterr()
-        assert "applied 1 fix(es) in 1 file(s)" in captured.err
-        assert "items=None" in path.read_text(encoding="utf-8")
-
-    def test_fix_on_clean_tree_reports_zero(self, tmp_path, capsys):
-        path = write(tmp_path, "clean.py", CLEAN)
-        assert main(["--fix", str(path)]) == 0
-        assert "applied 0 fix(es) in 0 file(s)" in capsys.readouterr().err
 
 
 class TestRetiredFlags:

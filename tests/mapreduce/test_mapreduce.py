@@ -119,3 +119,22 @@ class TestExecution:
         report = run_mapreduce(job, TraditionalRedundancy(3), reliability=0.9, seed=6)
         assert report.map_report.tasks_completed == 30
         assert report.map_report.mean_response_time > 0
+
+    def test_map_report_counts_churn_and_spot_checks(self):
+        """The map phase ends through ``DcaSimulation.run``, so its report
+        carries the run's joins, departures and spot checks."""
+        job = sum_job(range(300))
+        churned = run_mapreduce(
+            job, IterativeRedundancy(2), nodes=40, seed=13,
+            arrival_rate=2.0, departure_rate=2.0,
+        ).map_report
+        assert churned.nodes_joined > 0 and churned.nodes_departed > 0
+        checked = run_mapreduce(
+            job, IterativeRedundancy(2), nodes=40, seed=13, spot_check_rate=0.2
+        ).map_report
+        assert checked.spot_checks > 0
+
+    def test_horizon_that_leaves_chunks_unverified_is_rejected(self):
+        job = sum_job(range(200))
+        with pytest.raises(ValueError, match="max_time"):
+            run_mapreduce(job, IterativeRedundancy(2), nodes=10, seed=1, max_time=2.0)

@@ -7,6 +7,10 @@ everything it holds, until the loop ends.  Each case below wraps
 ``Simulator.run`` so that, right after the loop and while the substrate
 still holds its state, a full collection under ``gc.DEBUG_SAVEALL``
 counts what became unreachable; the count must be 0.
+
+A finished run must leave nothing for the collector either: the last
+case runs a MapReduce job under churn, whose map phase ends through
+``DcaSimulation.run`` like every DCA run.
 """
 
 import collections
@@ -16,6 +20,7 @@ import pytest
 
 from repro.core import IterativeRedundancy, TraditionalRedundancy
 from repro.dca import DcaConfig, run_dca
+from repro.mapreduce import run_mapreduce, wordcount_job
 from repro.obs import TelemetryRecorder
 from repro.sim import Simulator
 from repro.sim.events import QUEUE_KINDS
@@ -81,3 +86,19 @@ def test_other_substrates_make_no_cyclic_garbage(case, garbage_per_loop):
     run = table.run(row, queue)
     assert row.takes_path(run.evidence)
     _assert_no_garbage(garbage_per_loop)
+
+
+def test_finished_mapreduce_churn_run_is_freed_by_reference_counting():
+    job = wordcount_job(" ".join(f"w{index % 97}" for index in range(2000)), chunk_size=60)
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_mapreduce(
+            job, IterativeRedundancy(2), nodes=40, seed=13,
+            arrival_rate=2.0, departure_rate=2.0,
+        )
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert report.map_report.nodes_departed > 0
