@@ -1,5 +1,5 @@
-"""Benchmark harness for the paper's experiments, the replication
-engine and the voting hot paths.
+"""Benchmark harness for the paper's experiments, the DES event loop,
+telemetry overhead and the sharded scale tier.
 
 Each suite times a code path with :func:`time.perf_counter` and emits a
 schema-versioned ``BENCH_<name>.json`` report (machine, python, seed,

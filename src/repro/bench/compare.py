@@ -21,7 +21,10 @@ reports) rather than ratcheted automatically.
 
 A gate whose timing sits inside host noise judges :func:`median_report`
 of several separate runs instead of one run (CI does so for the
-``obs_overhead`` NullRecorder ratio).
+``obs_overhead`` NullRecorder ratio).  Where the reference is another
+source tree timed on the same host, :func:`paired_ratio_report` judges
+the median of per-round ratios instead (CI does so for ``sim_engine``
+against the parent commit).
 
 A baseline recorded on another machine is still judged, by the same
 gates, but the verdict line names every difference in
@@ -35,7 +38,7 @@ from __future__ import annotations
 import json
 import statistics
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.report import machine_info, report_path
 
@@ -45,6 +48,7 @@ __all__ = [
     "format_comparison",
     "machine_mismatch",
     "median_report",
+    "paired_ratio_report",
 ]
 
 #: Default allowed relative slowdown before a timing counts as a regression.
@@ -52,6 +56,9 @@ DEFAULT_TOLERANCE = 0.15
 
 #: Payload keys that must match exactly for a comparison to be meaningful.
 _COMPAT_KEYS = ("seed", "quick", "params")
+
+#: The seconds fields of one timing entry.
+_SECONDS_FIELDS = ("best_seconds", "mean_seconds", "total_seconds")
 
 #: Machine keys whose differences the verdict reports (never gates on).
 MACHINE_KEYS = ("cpu_count", "python", "numpy")
@@ -182,12 +189,59 @@ def median_report(reports: Sequence[dict]) -> dict:
             **stats,
             **{
                 field: statistics.median(float(r["timings"][name][field]) for r in reports)
-                for field in ("best_seconds", "mean_seconds", "total_seconds")
+                for field in _SECONDS_FIELDS
             },
         }
         for name, stats in first.get("timings", {}).items()
     }
     return median
+
+
+def _over(report: dict, reference: dict) -> dict:
+    """``report`` with each timing's seconds divided by ``reference``'s;
+    a timing ``reference`` lacks is dropped."""
+    references = reference.get("timings", {})
+    timings = {
+        name: {
+            **stats,
+            **{
+                field: float(stats[field]) / float(references[name][field])
+                for field in _SECONDS_FIELDS
+            },
+        }
+        for name, stats in report.get("timings", {}).items()
+        if name in references
+    }
+    return dict(report, timings=timings)
+
+
+def paired_ratio_report(
+    baselines: Sequence[dict], currents: Sequence[dict]
+) -> Tuple[dict, dict]:
+    """Paired rounds of two source trees as a ``(baseline, current)`` pair
+    for :func:`compare_report`.
+
+    Round ``i`` ran ``baselines[i]`` and ``currents[i]`` back to back on
+    one host, so load that shifts between rounds hits both alike and
+    cancels in their ratio.  The current report's timings become the
+    median over rounds of current/baseline seconds, and the baseline's
+    become 1.0: :func:`compare_report` then judges the typical round's
+    slowdown against its tolerance, as ``obs_overhead`` judges its paired
+    ratio.  Checksums, seeds and parameters are compared as usual.
+
+    Raises:
+        ValueError: if the sequences differ in length or are empty, or
+            either side's runs differ from each other.
+    """
+    if len(baselines) != len(currents):
+        raise ValueError(
+            f"need one current run per baseline run, got {len(baselines)} and {len(currents)}"
+        )
+    baseline = median_report(baselines)
+    current = median_report(
+        [_over(run, reference) for reference, run in zip(baselines, currents)]
+    )
+    return _over(baseline, baseline), current
 
 
 def compare_to_baseline(

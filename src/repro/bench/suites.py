@@ -1,6 +1,6 @@
-"""The benchmark suites: voting hot paths, the DES engine, the DCA
-model, telemetry overhead, the paper's experiments end to end, and the
-million-task sharded ``scale`` tier.
+"""The benchmark suites: the DES event loop, telemetry overhead, the
+paper's experiments end to end, and the million-task sharded ``scale_*``
+regime tier.
 
 Every suite is deterministic given its seed: reports carry a checksum
 (:func:`repro.parallel.fingerprint_of` over the computed results) so CI
@@ -8,9 +8,14 @@ can flag *correctness* drift, not just perf drift.  The ``experiments``
 suite times each of the paper's experiments through its CLI and digests
 the bytes it prints, so a run at any ``--jobs`` checked against a
 baseline recorded at ``--jobs 1`` is a standing test of the replication
-engine's jobs-invariance guarantee; the ``scale`` suites compute the
-sharded columnar task server at 10^6 tasks / 10^5 nodes serially and in
-parallel and compare the two checksums.
+engine's jobs-invariance guarantee; the ``scale_*`` suites compute the
+sharded columnar task server serially and in parallel, compare the two
+checksums, and hold the columnar engine's speedup over the object DES
+to a floor.
+
+Work that an end-to-end workload in ``benchmarks/e2e`` already times
+(one DES run, the decide loops, the plain sharded columnar run) has no
+suite here; its checksums are pinned by ``tests/determinism``.
 """
 
 from __future__ import annotations
@@ -28,12 +33,7 @@ from typing import Callable, Dict, Optional
 
 import repro
 from repro.bench.timing import TimingStats, time_callable
-from repro.core import (
-    IterativeRedundancy,
-    ProgressiveRedundancy,
-    TraditionalRedundancy,
-)
-from repro.core.runner import monte_carlo
+from repro.core import IterativeRedundancy
 from repro.dca import DcaConfig, run_dca
 from repro.obs import NullRecorder, TelemetryRecorder
 from repro.parallel import (
@@ -60,54 +60,17 @@ def _suite(fn: Callable[..., dict]) -> Callable[..., dict]:
 
 
 @_suite
-def bench_decide_loops(
-    *, seed: int = 0, jobs: Optional[int] = None, quick: bool = False, repeats: int = 3
-) -> dict:
-    """Time the three decide loops via the substrate-free Monte-Carlo runner."""
-    del jobs
-    tasks = 400 if quick else 4_000
-    r = 0.7
-    cases = {
-        "iterative_d3": lambda: monte_carlo(
-            lambda: IterativeRedundancy(3), r, tasks, seed=seed
-        ),
-        "progressive_k7": lambda: monte_carlo(
-            lambda: ProgressiveRedundancy(7), r, tasks, seed=seed
-        ),
-        "traditional_k7": lambda: monte_carlo(
-            lambda: TraditionalRedundancy(7), r, tasks, seed=seed
-        ),
-    }
-    timings = {}
-    results = {}
-    for name, body in cases.items():
-        stats, estimate = time_callable(body, repeats=repeats)
-        timings[name] = stats.as_dict()
-        results[name] = {
-            "reliability": estimate.reliability,
-            "cost_factor": estimate.cost_factor,
-            "mean_waves": estimate.mean_waves,
-            "tasks_per_second": tasks / stats.best,
-        }
-    checksum_input = {
-        name: {k: v for k, v in metrics.items() if k != "tasks_per_second"}
-        for name, metrics in results.items()
-    }
-    return {
-        "seed": seed,
-        "quick": quick,
-        "params": {"tasks": tasks, "r": r},
-        "timings": timings,
-        "results": results,
-        "checksum": fingerprint_of(checksum_input),
-    }
-
-
-@_suite
 def bench_sim_engine(
     *, seed: int = 0, jobs: Optional[int] = None, quick: bool = False, repeats: int = 3
 ) -> dict:
-    """Raw DES event throughput: a self-rescheduling event chain."""
+    """Raw DES event throughput: a self-rescheduling event chain.
+
+    Its seconds depend on the host, so no baseline is committed: CI runs
+    this suite from the parent commit's tree and the change's in paired
+    rounds, fresh interpreters on one runner, and judges the median
+    per-round ratio (:func:`repro.bench.compare.paired_ratio_report`;
+    see ``docs/performance.md``).
+    """
     del jobs
     events = 20_000 if quick else 200_000
 
@@ -138,39 +101,15 @@ def bench_sim_engine(
     }
 
 
-@_suite
-def bench_dca_run(
-    *, seed: int = 0, jobs: Optional[int] = None, quick: bool = False, repeats: int = 3
-) -> dict:
-    """End-to-end DCA simulation throughput (the per-replicate unit of work)."""
-    del jobs
-    tasks = 300 if quick else 2_000
-    nodes = 100 if quick else 400
-    config = dict(tasks=tasks, nodes=nodes, reliability=0.7, seed=seed)
-
-    def body() -> dict:
-        report = run_dca(DcaConfig(strategy=IterativeRedundancy(3), **config))
-        return report.as_dict()
-
-    stats, metrics = time_callable(body, repeats=repeats)
-    return {
-        "seed": seed,
-        "quick": quick,
-        "params": config,
-        "timings": {"iterative_d3": stats.as_dict()},
-        "results": {
-            "metrics": metrics,
-            "tasks_per_second": tasks / stats.best,
-        },
-        "checksum": fingerprint_of(metrics),
-    }
-
-
 #: Maximum full-size median TelemetryRecorder/bare time ratio (the
-#: ``above_telemetry_ceiling`` gate): the slowest of ten full-size runs
-#: plus 0.30, re-derived whenever the recorder gets cheaper and never
-#: raised (see ``docs/performance.md``).
-TELEMETRY_RATIO_CEILING = 1.66
+#: ``above_telemetry_ceiling`` gate): the median plus three times the
+#: interquartile range of ten full-size runs, re-derived whenever the
+#: recorder gets cheaper and never raised.  Last set from ten runs on a
+#: 2-vCPU host under Python 3.11.7 reading 1.240, 1.243, 1.257, 1.260,
+#: 1.274, 1.285, 1.299, 1.303, 1.306 and 1.318: median 1.280, inclusive
+#: quartiles 1.258 and 1.302, so 1.280 + 3 x 0.044 = 1.41 (see
+#: ``docs/performance.md``).
+TELEMETRY_RATIO_CEILING = 1.41
 
 
 @_suite
@@ -328,8 +267,8 @@ def bench_experiments(
     digests.  ``jobs`` never changes them, so a run at any ``--jobs``
     compares against a baseline recorded at ``--jobs 1``.  The
     experiments carry their own seeds; ``seed`` is only recorded.  Quick
-    runs gate the checksum only and carry their timings ungated, as
-    ``scale`` does.
+    runs gate the checksum only and carry their timings ungated, as the
+    ``scale_*`` suites do.
     """
     from repro.experiments import EXPERIMENTS
 
@@ -365,83 +304,6 @@ def bench_experiments(
     }
 
 
-@_suite
-def bench_scale(
-    *, seed: int = 0, jobs: Optional[int] = None, quick: bool = False, repeats: int = 3
-) -> dict:
-    """Million-task tier: the sharded columnar engine, serial vs parallel.
-
-    Splits one computation into task-server shards
-    (:func:`repro.parallel.shard_specs`), runs them at ``jobs=1`` and
-    ``jobs=N``, and merges each side with
-    :func:`repro.parallel.merge_shard_reports`.  The two merged reports
-    -- including their :func:`~repro.parallel.combined_fingerprint`
-    checksums -- must be byte-identical; any divergence sets
-    ``diverged`` and the CLI turns it into a non-zero exit for CI.
-
-    Full size is 10^6 tasks over 10^5 nodes (the scaling target from
-    ``docs/scaling.md``); quick size is the CI smoke gate.  Quick runs
-    finish in tens of milliseconds, where wall-clock noise dwarfs any
-    real signal, so -- like ``obs_overhead``'s ratio trick -- the quick
-    payload gates *checksum identity only* and reports its raw timings
-    ungated under ``results``; perf regressions are gated at full size,
-    where best-of-``repeats`` seconds are stable.
-    """
-    tasks = 20_000 if quick else 1_000_000
-    nodes = 2_000 if quick else 100_000
-    shards = 4 if quick else 8
-    # The identity under test is cross-process determinism, so the
-    # parallel leg gets at least two workers even on a one-CPU host.
-    parallel_jobs = max(2, resolve_jobs(jobs))
-    params = dict(
-        tasks=tasks, nodes=nodes, shards=shards, reliability=0.7, engine="columnar"
-    )
-
-    def run(n_jobs: int) -> dict:
-        specs = shard_specs(
-            lambda: IterativeRedundancy(3),
-            tasks=tasks,
-            nodes=nodes,
-            reliability=0.7,
-            shards=shards,
-            seed=seed,
-        )
-        return merge_shard_reports(run_dca_shards(specs, jobs=n_jobs))
-
-    serial_stats, serial_merged = time_callable(
-        lambda: run(1), repeats=repeats, warmup=0
-    )
-    parallel_stats, parallel_merged = time_callable(
-        lambda: run(parallel_jobs), repeats=repeats, warmup=0
-    )
-    serial_checksum = serial_merged["checksum"]
-    parallel_checksum = parallel_merged["checksum"]
-    timings = {
-        "serial": serial_stats.as_dict(),
-        "parallel": parallel_stats.as_dict(),
-    }
-    results = {
-        "merged": serial_merged,
-        "tasks_per_second": tasks / serial_stats.best,
-        "speedup": serial_stats.best / parallel_stats.best,
-    }
-    if quick:
-        results["timings_ungated"] = timings
-    return {
-        "seed": seed,
-        "quick": quick,
-        "jobs": parallel_jobs,
-        "params": params,
-        "timings": {} if quick else timings,
-        "results": results,
-        "serial_checksum": serial_checksum,
-        "parallel_checksum": parallel_checksum,
-        "checksum": serial_checksum,
-        # Whole-report equality, strictly stronger than checksum equality.
-        "diverged": serial_merged != parallel_merged,
-    }
-
-
 #: regime name -> config overrides as a function of the pool size.
 #: Churn rates scale with the pool (a bigger pool churns more per unit
 #: time at the same per-node hazard); the spot-check gate and the
@@ -470,13 +332,21 @@ def _bench_scale_regime(
 ) -> dict:
     """Shared body of the per-regime ``scale_*`` suites.
 
-    Same shape as :func:`bench_scale` -- sharded columnar serial vs
-    parallel, whole-merged-report identity gated via ``diverged`` -- plus
-    two regime-specific teeth: shard columns travel over the
-    shared-memory transport (so the bench exercises the shm path end to
-    end), and a small object-DES leg of the *same* regime yields
-    ``speedup_vs_des``, gated at full size against
-    :data:`DES_SPEEDUP_FLOOR` via ``below_des_floor``.
+    Splits one computation into task-server shards
+    (:func:`repro.parallel.shard_specs`), runs them at ``jobs=1`` and
+    ``jobs=N``, and merges each side with
+    :func:`repro.parallel.merge_shard_reports`.  The two merged reports
+    must be byte-identical; any divergence sets ``diverged`` and the CLI
+    turns it into a non-zero exit.  Shard columns travel over the
+    shared-memory transport where it exists, and a small object-DES leg
+    of the *same* regime yields ``speedup_vs_des``, gated at full size
+    against :data:`DES_SPEEDUP_FLOOR` via ``below_des_floor``.
+
+    Full size is 10^6 tasks over 10^5 nodes (the scaling target from
+    ``docs/scaling.md``); quick size is the CI smoke gate.  Quick runs
+    finish in tens of milliseconds, where wall-clock noise dwarfs any
+    real signal, so the quick payload gates *checksum identity only* and
+    reports its raw timings ungated under ``results``.
     """
     tasks = 20_000 if quick else 1_000_000
     nodes = 2_000 if quick else 100_000

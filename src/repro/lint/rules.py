@@ -335,13 +335,30 @@ def _non_float_literal(node: ast.AST) -> bool:
     )
 
 
+def _approx_call(node: ast.AST) -> bool:
+    """True for a call to ``approx`` or ``pytest.approx``, which compares
+    with a tolerance whatever operator spells it."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "approx"
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "approx"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "pytest"
+    )
+
+
 @register
 class NoFloatEqualityOnProbabilitiesRule(Rule):
     """RL003: probabilities and confidences are floats built from products
     and complements; exact ``==``/``!=`` on them silently depends on
     rounding.  Require ``math.isclose`` or an explicit tolerance.
 
-    The self-comparison NaN idiom (``x == x``) is exempt.
+    The self-comparison NaN idiom (``x == x``) is exempt, and so is a
+    compare against ``pytest.approx(...)``, which carries its tolerance.
     """
 
     rule_id = "RL003"
@@ -359,6 +376,8 @@ class NoFloatEqualityOnProbabilitiesRule(Rule):
                 if ast.dump(left) == ast.dump(right):
                     continue  # NaN-check idiom (x == x)
                 if _non_float_literal(left) or _non_float_literal(right):
+                    continue
+                if _approx_call(left) or _approx_call(right):
                     continue
                 if _probability_words(left) or _probability_words(right):
                     symbol = "==" if isinstance(op, ast.Eq) else "!="

@@ -7,8 +7,8 @@ Usage::
     repro-obs export capture.json --format prometheus
     repro-obs diff before.json after.json [--only-changed]
 
-Captures come from ``repro-experiments --telemetry <path>`` and
-``repro-bench --telemetry <path>`` (see ``docs/observability.md``).
+Captures come from ``repro-experiments --telemetry <path>`` (see
+``docs/observability.md``).
 """
 
 from __future__ import annotations

@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- tests assert exact verdicts of constructed comparisons on purpose
 """Tests for the baseline comparison gate (``repro-bench --compare``)."""
 
 import json
@@ -11,6 +10,7 @@ from repro.bench.compare import (
     compare_to_baseline,
     format_comparison,
     median_report,
+    paired_ratio_report,
 )
 from repro.bench.report import machine_info, report_path, write_report
 
@@ -227,6 +227,45 @@ class TestMedianReport:
             median_report([])
 
 
+class TestPairedRatioReport:
+    # Host speed that swings 2x between rounds, as a busy 2-vCPU host's does.
+    HOST = (0.3, 0.6, 0.31, 0.55, 0.29, 0.62, 0.3)
+
+    def judge(self, slowdown, **current):
+        baselines = [_payload(best=host) for host in self.HOST]
+        currents = [_payload(best=host * slowdown, **current) for host in self.HOST]
+        return compare_report(*paired_ratio_report(baselines, currents))
+
+    def test_drift_shared_by_both_sides_cancels(self):
+        comparison = self.judge(1.0)
+        assert comparison["verdict"] == "ok"
+        assert comparison["timings"]["case"]["baseline_best_seconds"] == 1.0
+        assert comparison["timings"]["case"]["current_best_seconds"] == pytest.approx(1.0)
+
+    def test_a_slowdown_in_every_round_beyond_tolerance_regresses(self):
+        assert self.judge(1.10)["verdict"] == "ok"
+        comparison = self.judge(1.30)
+        assert comparison["verdict"] == "regression"
+        assert comparison["timings"]["case"]["speedup"] == pytest.approx(1 / 1.30)
+
+    def test_one_round_where_the_host_slowed_mid_round_does_not_fail(self):
+        # The host slowed between the two runs of round 2: the medians of
+        # each side's seconds read 2x apart, the median paired ratio 1.0.
+        baselines = [_payload(best=best) for best in (0.3, 0.3, 0.3, 0.6, 0.6)]
+        currents = [_payload(best=best) for best in (0.3, 0.3, 0.6, 0.6, 0.6)]
+        unpaired = compare_report(median_report(baselines), median_report(currents))
+        assert unpaired["verdict"] == "regression"
+        assert compare_report(*paired_ratio_report(baselines, currents))["verdict"] == "ok"
+
+    def test_changed_suite_is_incomparable_and_changed_results_mismatch(self):
+        assert self.judge(1.0, params={"tasks": 20})["verdict"] == "incomparable"
+        assert self.judge(1.0, checksum="zzz")["verdict"] == "checksum_mismatch"
+
+    def test_unpaired_runs_are_rejected(self):
+        with pytest.raises(ValueError, match="one current run per baseline run"):
+            paired_ratio_report([_payload()], [_payload(), _payload()])
+
+
 class TestCliGate:
     """End-to-end: the CLI exit codes CI relies on."""
 
@@ -234,16 +273,16 @@ class TestCliGate:
         from repro.bench.suites import run_suite
 
         baseline_dir = tmp_path / "baselines"
-        baseline = run_suite("decide_loops", seed=3, quick=True, repeats=1)
+        baseline = run_suite("sim_engine", seed=3, quick=True, repeats=1)
         baseline["timings"] = {
             name: {**stats, "best_seconds": stats["best_seconds"] * 100}
             for name, stats in baseline["timings"].items()
         }
-        write_report("decide_loops", baseline, output_dir=baseline_dir)
+        write_report("sim_engine", baseline, output_dir=baseline_dir)
         out_dir = tmp_path / "out"
         code = bench_main(
             [
-                "decide_loops",
+                "sim_engine",
                 "--quick",
                 "--seed",
                 "3",
@@ -261,12 +300,12 @@ class TestCliGate:
         from repro.bench.suites import run_suite
 
         baseline_dir = tmp_path / "baselines"
-        baseline = run_suite("decide_loops", seed=3, quick=True, repeats=1)
+        baseline = run_suite("sim_engine", seed=3, quick=True, repeats=1)
         baseline["checksum"] = "0" * 64
-        write_report("decide_loops", baseline, output_dir=baseline_dir)
+        write_report("sim_engine", baseline, output_dir=baseline_dir)
         code = bench_main(
             [
-                "decide_loops",
+                "sim_engine",
                 "--quick",
                 "--seed",
                 "3",
@@ -284,16 +323,16 @@ class TestCliGate:
         from repro.bench.suites import run_suite
 
         baseline_dir = tmp_path / "baselines"
-        baseline = run_suite("decide_loops", seed=3, quick=True, repeats=1)
+        baseline = run_suite("sim_engine", seed=3, quick=True, repeats=1)
         # An impossibly fast baseline: any real run regresses against it.
         baseline["timings"] = {
             name: {**stats, "best_seconds": 1e-9}
             for name, stats in baseline["timings"].items()
         }
-        write_report("decide_loops", baseline, output_dir=baseline_dir)
+        write_report("sim_engine", baseline, output_dir=baseline_dir)
         code = bench_main(
             [
-                "decide_loops",
+                "sim_engine",
                 "--quick",
                 "--seed",
                 "3",
@@ -310,7 +349,7 @@ class TestCliGate:
     def test_missing_baseline_is_not_a_failure(self, tmp_path, capsys):
         code = bench_main(
             [
-                "decide_loops",
+                "sim_engine",
                 "--quick",
                 "--seed",
                 "3",
@@ -326,7 +365,7 @@ class TestCliGate:
     def test_profile_smoke(self, tmp_path, capsys):
         code = bench_main(
             [
-                "decide_loops",
+                "sim_engine",
                 "--quick",
                 "--profile",
                 "5",
@@ -336,5 +375,5 @@ class TestCliGate:
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "profile: decide_loops" in captured.out
+        assert "profile: sim_engine" in captured.out
         assert "cumulative" in captured.out

@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- history rows are pure functions of pinned inputs
 """Benchmark history (:mod:`repro.bench.history`): schema-versioned
 JSONL rows, injected timestamps, and the ``--history`` CLI flag."""
 
@@ -101,7 +100,7 @@ class TestCliFlag:
         target = tmp_path / "history.jsonl"
         code = bench_main(
             [
-                "decide_loops",
+                "obs_overhead",
                 "sim_engine",
                 "--quick",
                 "--output-dir",
@@ -112,7 +111,7 @@ class TestCliFlag:
         )
         assert code == 0
         rows = read_history(target)
-        assert [row["suite"] for row in rows] == ["decide_loops", "sim_engine"]
+        assert [row["suite"] for row in rows] == ["obs_overhead", "sim_engine"]
         for row in rows:
             assert row["schema_version"] == HISTORY_SCHEMA_VERSION
             assert row["quick"] is True

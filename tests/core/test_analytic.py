@@ -69,7 +69,6 @@ class TestCrossValidationAgainstSimulation:
         sim = measurement_from_envelopes(
             run_dca_replicates(dca_replicate_specs(factory, **UNLOADED))
         )
-        # reprolint: disable-next-line=RL003 -- pytest.approx is the tolerance
         assert reliability == pytest.approx(sim.mean_reliability, abs=0.02)
         assert cost == pytest.approx(sim.mean_cost, rel=0.05)
         assert analysis.expected_response_time(R, name, param) == pytest.approx(

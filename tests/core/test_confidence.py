@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """Unit and property tests for the confidence math (q, d, Theorems 1-2)."""
 
 import math

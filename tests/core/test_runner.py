@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """Tests for the substrate-free strategy runner and Monte-Carlo engine."""
 
 import random

@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """Tests for the SPRT interpretation of iterative redundancy."""
 
 import math

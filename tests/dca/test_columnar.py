@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- determinism tests assert byte-exact equality on purpose
 """Tests for the columnar batch engine (:mod:`repro.dca.columnar`).
 
 The engine trades the object DES for struct-of-arrays wave batching, so

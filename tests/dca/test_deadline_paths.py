@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- byte-exact golden comparisons are the point
 """Pinned reports for every path a job's deadline can take.
 
 A job's deadline event is pushed at assignment only when it can be the

@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """System-level tests: simulation vs closed forms, churn, correlated
 failures, heterogeneous pools."""
 

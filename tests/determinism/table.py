@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- byte-exact digest comparisons are the point
 """The determinism probe table: every pinned same-seed digest, in one place.
 
 Each :class:`Row` is one small seeded run on one substrate (DES,
@@ -19,7 +18,13 @@ re-pinned when the probes moved here:
   lines;
 * MapReduce ``report``: the map report's ``to_json()`` text (which
   writes a frozenset value as its members sorted by ``repr``) and the
-  reduced output's ``repr``.
+  reduced output's ``repr``;
+* DES, runner and shards ``checksum``: :func:`fingerprint_of` over the
+  run's metrics -- the DES report's ``as_dict()``, each Monte-Carlo
+  estimate's reliability, cost factor and mean waves, or the shard
+  reports' combined fingerprint.  These are the checksums the retired
+  ``dca_run``, ``decide_loops`` and ``scale`` bench suites gated; each
+  row reproduces its suite's committed baseline checksum.
 
 The golden DES rows were taken from the engine that still matched the
 first trace-log goldens, the payload rows from the engine that counted
@@ -51,10 +56,12 @@ from repro.core import (
     TraditionalRedundancy,
 )
 from repro.core.distributions import BetaReliability, TwoClassReliability
+from repro.core.runner import monte_carlo
 from repro.dca import DcaConfig, run_columnar_dca_columns, run_dca
 from repro.grid import GridConfig, run_grid
 from repro.mapreduce import MapReduceJob, run_mapreduce, wordcount_job
 from repro.obs import TelemetryRecorder
+from repro.parallel import fingerprint_of, merge_shard_reports, run_dca_shards, shard_specs
 from repro.sim import Simulator, StopSimulation
 from repro.sim.events import QUEUE_KINDS
 from repro.volunteer import VolunteerConfig, run_volunteer
@@ -132,6 +139,8 @@ def _run_des(row: Row, config: dict) -> Run:
         assert capped.dropped_spans > 0, "the capped recorder kept every span"
         # Off, uncapped and capped must agree; if not, all three show.
         digests["report"] = reports[0] if len(set(reports)) == 1 else " != ".join(reports)
+    if "checksum" in row.digests:
+        digests["checksum"] = fingerprint_of(report.as_dict())
     metrics = dict(report.as_dict(), telemetry=payload["metrics"], open_spans=payload["open_spans"])
     return Run(digests, payload_lines(payload), metrics, payload)
 
@@ -177,6 +186,32 @@ def _run_mapreduce(row: Row, config: dict) -> Run:
         corrupted_chunks=report.corrupted_chunks,
     )
     return Run({"report": digest}, record_lines(report.map_report), metrics, report)
+
+
+def _run_runner(row: Row, config: dict) -> Run:
+    """One Monte-Carlo estimate per named strategy that ``row.strategy`` builds."""
+    estimates = {
+        name: monte_carlo(
+            lambda strategy=strategy: strategy, config["reliability"], config["tasks"],
+            seed=config["seed"],
+        )
+        for name, strategy in row.strategy().items()
+    }
+    fields = {name: dataclasses.asdict(estimate) for name, estimate in estimates.items()}
+    checksum = fingerprint_of({
+        name: {key: getattr(e, key) for key in ("reliability", "cost_factor", "mean_waves")}
+        for name, e in estimates.items()
+    })
+    lines = [f"{name} [{_attrs(fields[name])}]" for name in fields]
+    return Run({"checksum": checksum}, lines, fields, estimates)
+
+
+def _run_shards(row: Row, config: dict) -> Run:
+    """The shards of one computation, run in one process and merged."""
+    envelopes = run_dca_shards(shard_specs(row.strategy, **config), jobs=1)
+    merged = merge_shard_reports(envelopes)
+    lines = [f"shard#{e.position} seed={e.seed} fingerprint={e.fingerprint}" for e in envelopes]
+    return Run({"checksum": merged["checksum"]}, lines, merged, merged)
 
 
 class _TracedServer(VolunteerServer):
@@ -258,6 +293,8 @@ RUNNERS = {
     "client": _run_clients,
     "grid": _run_report(run_grid, GridConfig),
     "mapreduce": _run_mapreduce,
+    "runner": _run_runner,
+    "shards": _run_shards,
 }
 
 
@@ -401,6 +438,17 @@ DES_ROWS = [
         dict(spot_check_rate=0.15), _DES_CAPS,
         "958195ca25efc7fdc06818b36cf1f8f15f673e62c0f3234906de0fb02e468ad8",
         lambda p: p["dropped_spans"] > 0,
+    ),
+    # The retired ``dca_run`` bench suite's run; ``checksum`` is its
+    # committed baseline checksum.
+    Row(
+        "des", "ir_2000_tasks", lambda: IterativeRedundancy(3),
+        dict(tasks=2_000, nodes=400, reliability=0.7, seed=0),
+        {
+            "payload": "8899ff9beaf41ed4d8368f1ad8cbc42f6eb553c8be78b4bfd718c31da7571a03",
+            "checksum": "77978767233be27bf6019954ac2db9d97179ac5483b164cefd31bdd4e897d511",
+        },
+        _uncapped,
     ),
 ]
 
@@ -555,7 +603,7 @@ COLUMNAR_ROWS = [
 ]
 
 
-# -- Volunteer, grid and MapReduce -------------------------------------------
+# -- Volunteer, grid, MapReduce, runner and shards ---------------------------
 
 
 def _wordcount() -> MapReduceJob:
@@ -645,6 +693,27 @@ OTHER_ROWS = [
         dict(job=_vocabulary, nodes=20, reliability=0.5, seed=3),
         {"report": "8ccbedea069196dcdebfde6946cb230272e3135e667b227bc4b8ea478b5d3717"},
         lambda r: r.corrupted_chunks > 0,
+    ),
+    # The retired ``decide_loops`` bench suite: the three decide loops
+    # through the substrate-free runner, against its baseline checksum.
+    Row(
+        "runner", "decide_loops",
+        lambda: {
+            "iterative_d3": IterativeRedundancy(3),
+            "progressive_k7": ProgressiveRedundancy(7),
+            "traditional_k7": TraditionalRedundancy(7),
+        },
+        dict(tasks=4_000, reliability=0.7, seed=0),
+        {"checksum": "d9d51614dcce72bc04fc4fceeda215c80e61c31d1157903b24af0262a1051abc"},
+        lambda e: e["iterative_d3"].mean_waves > 1 and e["traditional_k7"].mean_waves == 1,
+    ),
+    # The retired quick ``scale`` bench suite at jobs=1, against its
+    # baseline checksum; ``tests/parallel`` checks jobs=N against jobs=1.
+    Row(
+        "shards", "ir_four_shards", lambda: IterativeRedundancy(3),
+        dict(tasks=20_000, nodes=2_000, shards=4, reliability=0.7, seed=0),
+        {"checksum": "0e30adf4a049f3fcac4efd3aee60512fd370c0646faa597a3a4f55c36fa0b49b"},
+        lambda merged: merged["shards"] == 4 and merged["tasks"] == 20_000,
     ),
 ]
 

@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """Tests for grid sites: slots, queues, correlated faults, maintenance."""
 
 import pytest

@@ -136,6 +136,20 @@ class TestRL003FloatEquality:
         # "problem" must not match "prob": regression for deployment.py.
         assert lint("ok = problem_answer == problem_truth\n") == []
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import pytest\nassert reliability == pytest.approx(0.7)\n",
+            "import pytest\nassert pytest.approx(0.7, abs=0.01) != prob\n",
+            "from pytest import approx\nassert confidence == approx(target, rel=0.05)\n",
+        ],
+    )
+    def test_approx_operand_exempt(self, source):
+        assert lint(source) == []
+
+    def test_bare_float_literal_still_flagged(self):
+        assert rule_ids(lint("ok = prob == 0.7\n")) == ["RL003"]
+
 
 class TestRL004MutableDefaults:
     def test_list_default_flagged(self):

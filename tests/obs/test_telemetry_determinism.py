@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- byte-exact equality is the property under test
 """Telemetry observes, never perturbs: the subsystem's core contract.
 
 Recording off, uncapped, or capped leaves the same-seed DCA report

@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- the point of this suite is byte-exact serial/parallel equality
 """Determinism equivalence: ``jobs=4`` must be indistinguishable from
 ``jobs=1`` for every technique, per replicate and in aggregate, and a
 crashing worker must surface a clear error naming the replicate seed."""

@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """Unit tests for the replication engine primitives: seed derivation,
 pool-task sizing, job resolution, ordered parallel mapping, and crash
 surfacing."""

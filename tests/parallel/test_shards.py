@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- the point of this suite is byte-exact serial/parallel equality
 """Sharded task server determinism: ``jobs=4`` must be byte-identical to
 ``jobs=1`` for the same shard count (both engines), the split must be
 exact, and the position-ordered merge must be pure arithmetic over the

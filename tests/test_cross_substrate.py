@@ -1,4 +1,3 @@
-# reprolint: disable-file=RL003 -- tests assert exact values of seeded, deterministic computations on purpose
 """Cross-substrate agreement: the same strategy must measure the same on
 all three execution substrates.
 
