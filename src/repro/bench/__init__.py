@@ -1,10 +1,10 @@
-"""Benchmark harness for the paper's experiments, the DES event loop,
-telemetry overhead and the sharded scale tier.
+"""Benchmark harness for the paper's experiments, the DES event loop and
+telemetry overhead.
 
 Each suite times a code path with :func:`time.perf_counter` and emits a
 schema-versioned ``BENCH_<name>.json`` report (machine, python, seed,
 wall-clock stats, and a checksum of the computed results so CI can
-detect serial/parallel divergence alongside perf drift).  The
+detect result drift alongside perf drift).  The
 ``experiments`` suite times each of the paper's experiments end to end,
 one fresh ``repro-experiments`` interpreter each, and digests its output.
 

@@ -257,9 +257,9 @@ def compare_to_baseline(
     new suite is not a regression; commit its report to start gating it).
 
     Quick runs are judged against the suite's *quick* baseline
-    (``BENCH_<name>.quick.json``), full runs against the full one, so a
-    per-PR smoke gate and a nightly full gate can share one baseline
-    directory without ever comparing across sizes.
+    (``BENCH_<name>.quick.json``), full runs against the full one, so
+    quick and full gates can share one baseline directory without ever
+    comparing across sizes.
     """
     path = report_path(name, baseline_dir, quick=bool(current.get("quick")))
     if not path.exists():

@@ -5,9 +5,8 @@ whenever a field changes meaning, so downstream trajectory tooling can
 tell eras apart instead of silently comparing incompatible numbers.
 
 Quick-mode runs write ``BENCH_<name>.quick.json`` instead, so a suite
-can commit *two* baselines -- the full-size one for nightly/dispatch
-runs and the quick one for the per-PR smoke gate -- without either
-overwriting the other.
+can commit *two* baselines -- a full-size one and a quick one for
+smoke gates -- without either overwriting the other.
 """
 
 from __future__ import annotations

@@ -169,9 +169,8 @@ class TestCompareToBaseline:
 
     def test_quick_and_full_baselines_live_side_by_side(self, tmp_path):
         # Quick payloads route to BENCH_<name>.quick.json and full ones
-        # to BENCH_<name>.json, so one baseline dir serves both the
-        # per-PR quick gate and the nightly full gate without ever
-        # comparing across sizes.
+        # to BENCH_<name>.json, so one baseline dir serves both quick
+        # and full gates without ever comparing across sizes.
         quick_path = write_report("unit", _payload(quick=True), output_dir=tmp_path)
         full_path = write_report("unit", _payload(quick=False), output_dir=tmp_path)
         assert quick_path.name == "BENCH_unit.quick.json"

@@ -4,9 +4,10 @@ The engine trades the object DES for struct-of-arrays wave batching, so
 it cannot be byte-identical to :func:`run_dca` -- but it must be (a)
 deterministic given the seed, (b) statistically indistinguishable from
 the DES on the paper's measures, (c) honest about the regime it
-supports, and (d) faithful to the strategies' decide() semantics (the
+supports, (d) faithful to the strategies' decide() semantics (the
 vectorized deciders are cross-checked against the per-task
-``VoteState`` fallback).  The regime kernels are checked against scalar
+``VoteState`` fallback), and (e) at least 50 times the DES's
+throughput, the reason it exists.  The regime kernels are checked against scalar
 oracles on generated arrays; whole-run output is pinned by digest in
 the columnar rows of ``tests/determinism/table.py``.
 """
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
+from repro.bench.timing import time_callable
 from repro.core import (
     ComplexIterativeRedundancy,
     CredibilityManager,
@@ -567,3 +569,46 @@ class TestWaveLimit:
     def test_a_run_within_the_limit_is_unchanged(self):
         config = _config(TraditionalRedundancy(7), tasks=50)
         assert run_columnar_dca(config, max_waves=1) == run_columnar_dca(config)
+
+
+#: Minimum ratio of the columnar engine's completed tasks per second to
+#: the DES's, in every regime: speed is the engine's one guarantee beyond
+#: the DES, and the reason it exists.
+DES_SPEEDUP_FLOOR = 50.0
+
+#: Regime name -> config overrides as a function of the pool size.  Churn
+#: rates scale with the pool (a bigger pool churns more per unit time at
+#: the same per-node hazard); the spot-check gate and the horizon are
+#: per-assignment and per-run quantities and stay fixed.
+_SPEED_REGIMES = {
+    "churn": lambda nodes: dict(arrival_rate=nodes * 0.01, departure_rate=nodes * 0.01),
+    "spot": lambda nodes: dict(spot_check_rate=0.05),
+    "deadline": lambda nodes: dict(max_time=6.0),
+}
+
+
+class TestSpeedupOverDes:
+    @pytest.mark.parametrize("regime", sorted(_SPEED_REGIMES))
+    def test_columnar_beats_the_des_by_the_floor(self, regime):
+        """Completed tasks per second, best of 3 on each side: the
+        columnar engine at 10^5 tasks on 10^4 nodes against the DES at
+        2,000 tasks on a pool scaled to match.  Throughputs divide, so
+        the legs need not be the same size; completed tasks count
+        because under a horizon both engines stop with work undone.  The
+        ratio also falls when the DES gets faster: a DES speedup that
+        trips the floor calls for a new floor, not a slower DES."""
+
+        def tasks_per_second(run, tasks, nodes):
+            config = _config(
+                IterativeRedundancy(3), tasks=tasks, nodes=nodes, seed=0,
+                **_SPEED_REGIMES[regime](nodes),
+            )
+            stats, report = time_callable(lambda: run(config), repeats=3, warmup=0)
+            return report.tasks_completed / stats.best
+
+        columnar = tasks_per_second(run_columnar_dca, 100_000, 10_000)
+        des = tasks_per_second(run_dca, 2_000, 200)
+        assert columnar / des >= DES_SPEEDUP_FLOOR, (
+            f"{regime}: columnar throughput x{columnar / des:.1f} the DES's, "
+            f"below the x{DES_SPEEDUP_FLOOR:.0f} floor"
+        )

@@ -23,8 +23,8 @@ re-pinned when the probes moved here:
   run's metrics -- the DES report's ``as_dict()``, each Monte-Carlo
   estimate's reliability, cost factor and mean waves, or the shard
   reports' combined fingerprint.  These are the checksums the retired
-  ``dca_run``, ``decide_loops`` and ``scale`` bench suites gated; each
-  row reproduces its suite's committed baseline checksum.
+  ``dca_run``, ``decide_loops``, ``scale`` and ``scale_*`` bench suites
+  gated; each row reproduces its suite's committed baseline checksum.
 
 The golden DES rows were taken from the engine that still matched the
 first trace-log goldens, the payload rows from the engine that counted
@@ -204,6 +204,10 @@ def _run_runner(row: Row, config: dict) -> Run:
     })
     lines = [f"{name} [{_attrs(fields[name])}]" for name in fields]
     return Run({"checksum": checksum}, lines, fields, estimates)
+
+
+#: The quick size of the retired ``scale`` and ``scale_*`` bench suites.
+_SCALE_QUICK = dict(tasks=20_000, nodes=2_000, shards=4, reliability=0.7, seed=0)
 
 
 def _run_shards(row: Row, config: dict) -> Run:
@@ -711,9 +715,32 @@ OTHER_ROWS = [
     # baseline checksum; ``tests/parallel`` checks jobs=N against jobs=1.
     Row(
         "shards", "ir_four_shards", lambda: IterativeRedundancy(3),
-        dict(tasks=20_000, nodes=2_000, shards=4, reliability=0.7, seed=0),
+        dict(_SCALE_QUICK),
         {"checksum": "0e30adf4a049f3fcac4efd3aee60512fd370c0646faa597a3a4f55c36fa0b49b"},
         lambda merged: merged["shards"] == 4 and merged["tasks"] == 20_000,
+    ),
+    # The retired quick ``scale_churn``, ``scale_spot`` and
+    # ``scale_deadline`` bench suites at jobs=1, against their baseline
+    # checksums: the same computation under one regime each.
+    Row(
+        "shards", "ir_four_shards_churn", lambda: IterativeRedundancy(3),
+        dict(_SCALE_QUICK, arrival_rate=20.0, departure_rate=20.0),
+        {"checksum": "a8fa87443db9978741a60a50a6d0372727822bb89737fb91a7e9c0149f689d35"},
+        lambda merged: merged["nodes_joined"] > 0 and merged["nodes_departed"] > 0,
+    ),
+    Row(
+        "shards", "ir_four_shards_spot", lambda: IterativeRedundancy(3),
+        dict(_SCALE_QUICK, spot_check_rate=0.05),
+        {"checksum": "ef2fb00ef153618ed29c9dd3fe1102703ac3f0b80e499aed16180d189cac01e1"},
+        lambda merged: merged["spot_checks"] > 0,
+    ),
+    Row(
+        "shards", "ir_four_shards_deadline", lambda: IterativeRedundancy(3),
+        dict(_SCALE_QUICK, max_time=6.0),
+        {"checksum": "a9dbc0188fa598ea2375a69ae6103cf8f5ec8637b73858dc82a0c960c4e9fbc8"},
+        lambda merged: (
+            merged["tasks"] < merged["tasks_submitted"] and merged["makespan"] <= 6.0
+        ),
     ),
 ]
 
