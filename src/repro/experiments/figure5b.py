@@ -12,17 +12,27 @@ This harness runs the synthetic PlanetLab deployment
 problem, seeded 0.3 faults, natural fault and unresponsiveness processes
 the algorithms are never told about.  It reports each run's measured
 reliability, cost, and the derived r.
+
+Each (technique, parameter, problem) run is one
+:class:`VolunteerProblemSpec`; :func:`run_volunteer_problems` fans them
+out through :func:`repro.parallel.engine.fan_out` like any DCA
+replicate.
 """
 
 from __future__ import annotations
 
+import copy
+import math
+import time
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core import IterativeRedundancy, ProgressiveRedundancy, TraditionalRedundancy
 from repro.core.strategy import RedundancyStrategy
 from repro.experiments.common import ExperimentResult, Series, SeriesPoint, render_table
-from repro.parallel import VolunteerProblemSpec, run_volunteer_problems
-from repro.volunteer import PlanetLabTestbed
+from repro.parallel.engine import fan_out
+from repro.parallel.envelope import ReplicateEnvelope
+from repro.volunteer import PlanetLabTestbed, VolunteerConfig, run_volunteer
 
 DEFAULT_KS = (3, 7, 11, 15, 19)
 DEFAULT_DS = (1, 2, 3, 4, 5, 6)
@@ -33,6 +43,60 @@ DEPLOYMENT_SCALES = {
     "default": dict(sat_vars=16, tasks=140, problems=3),
     "full": dict(sat_vars=22, tasks=140, problems=5),
 }
+
+
+@dataclass(frozen=True)
+class VolunteerProblemSpec:
+    """One volunteer problem run, in picklable form."""
+
+    seed: int
+    strategy: RedundancyStrategy
+    testbed: PlanetLabTestbed
+    sat_vars: int
+    tasks: int
+
+
+def run_volunteer_problem(spec: VolunteerProblemSpec) -> ReplicateEnvelope:
+    """Execute one volunteer problem (module-level, picklable worker).
+
+    The strategy is deep-copied so serial and parallel runs see the same
+    fresh state even when a caller shares one instance across specs.
+    """
+    start = time.perf_counter()
+    report = run_volunteer(
+        VolunteerConfig(
+            strategy=copy.deepcopy(spec.strategy),
+            testbed=spec.testbed,
+            sat_vars=spec.sat_vars,
+            tasks=spec.tasks,
+            seed=spec.seed,
+        )
+    )
+    metrics = report.as_dict()
+    metrics["derived_reliability"] = (
+        report.derived_reliability
+        if not math.isnan(report.derived_reliability)
+        else None
+    )
+    metrics["problem_correct"] = report.problem_correct
+    metrics["deadline_misses"] = report.deadline_misses
+    return ReplicateEnvelope.from_worker(spec.seed, metrics, start)
+
+
+def run_volunteer_problems(
+    specs: Sequence[VolunteerProblemSpec],
+    *,
+    jobs: Optional[int] = 1,
+    chunk_size: Optional[int] = None,
+) -> List[ReplicateEnvelope]:
+    """Run volunteer problems (serial or fanned out) into envelopes."""
+    return fan_out(
+        run_volunteer_problem,
+        specs,
+        item="volunteer problem",
+        jobs=jobs,
+        chunk_size=chunk_size,
+    )
 
 
 def compute(

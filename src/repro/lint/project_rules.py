@@ -43,7 +43,7 @@ ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
     "grid": frozenset({"core", "sim", "dca", "obs"}),
     "mapreduce": frozenset({"core", "sim", "dca", "obs"}),
     "volunteer": frozenset({"core", "sim", "sat", "dca", "obs"}),
-    "parallel": frozenset({"core", "sim", "dca", "volunteer", "obs"}),
+    "parallel": frozenset({"core", "sim", "dca", "obs"}),
     "experiments": frozenset(
         {
             "core",

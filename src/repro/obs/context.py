@@ -1,10 +1,11 @@
 """The parent-side telemetry sink: collect merged run payloads.
 
 ``--telemetry <path>`` on the experiment/bench CLIs installs a
-:class:`TelemetrySink` here; :func:`repro.parallel.dca.run_dca_replicates`
-consults :func:`current_sink` and, when one is installed, enables
-per-replicate telemetry on its specs and hands the position-ordered
-merged payload back via :meth:`TelemetrySink.add_run`.
+:class:`TelemetrySink` here; :func:`repro.parallel.engine.fan_out`
+(behind ``run_dca_replicates`` and ``run_dca_shards``) consults
+:func:`current_sink` and, when one is installed, enables per-replicate
+telemetry on its specs and hands the position-ordered merged payload
+back via :meth:`TelemetrySink.add_run`.
 
 The sink lives in the *parent* process only -- pool workers never see
 it (specs carry a plain ``telemetry`` flag instead), so installing a

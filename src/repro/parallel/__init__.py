@@ -11,12 +11,16 @@ pool and still produce results byte-identical to a serial run:
   :meth:`~repro.sim.rng.RngRegistry.spawn`;
 * :mod:`repro.parallel.engine` maps a picklable worker over the specs,
   one spec per pool task so idle workers pull the next (``--jobs 1`` is
-  the exact legacy in-process serial path);
+  the exact legacy in-process serial path); its ``fan_out`` is the one
+  path every substrate takes: workers return envelopes, and it stamps
+  positions, names a crashed item, releases the shared memory of the
+  items that finished, and feeds an installed telemetry sink;
 * :mod:`repro.parallel.reducer` folds the per-replicate envelopes back
   into means/standard errors in *spec order*, so aggregates never depend
   on completion order;
-* :mod:`repro.parallel.dca` and :mod:`repro.parallel.volunteer` are the
-  substrate-specific workers used by :mod:`repro.experiments`;
+* :mod:`repro.parallel.dca` is the DCA replicate worker used by
+  :mod:`repro.experiments` (Figure 5(b)'s volunteer worker lives with
+  its one caller, :mod:`repro.experiments.figure5b`);
 * :mod:`repro.parallel.shards` splits *one* large computation into
   task-server shards with a deterministic cross-shard merge (see
   ``docs/scaling.md``).
@@ -63,11 +67,6 @@ from repro.parallel.shm import (
     shm_available,
     write_columns,
 )
-from repro.parallel.volunteer import (
-    VolunteerProblemSpec,
-    run_volunteer_problem,
-    run_volunteer_problems,
-)
 
 __all__ = [
     "ColumnBlockHandle",
@@ -76,7 +75,6 @@ __all__ = [
     "ReplicateEnvelope",
     "ReplicateError",
     "ShardSpec",
-    "VolunteerProblemSpec",
     "WorkerCrash",
     "aggregate_metrics",
     "combined_fingerprint",
@@ -97,8 +95,6 @@ __all__ = [
     "run_dca_shards",
     "run_dca_replicate",
     "run_dca_replicates",
-    "run_volunteer_problem",
-    "run_volunteer_problems",
     "shard_seeds",
     "shard_specs",
     "shm_available",

@@ -1,6 +1,6 @@
 """DCA replicate worker: run one DES replicate, return an envelope.
 
-This is the substrate glue between :func:`repro.parallel.engine.parallel_map`
+This is the substrate glue between :func:`repro.parallel.engine.fan_out`
 and :func:`repro.dca.run_dca`.  The spec is a frozen, picklable value
 object; the worker rebuilds the full :class:`~repro.dca.config.DcaConfig`
 from it inside the (possibly remote) process, so no live simulation
@@ -10,27 +10,16 @@ state ever crosses a process boundary.
 from __future__ import annotations
 
 import copy
-import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.distributions import ReliabilityDistribution
 from repro.core.strategy import RedundancyStrategy
 from repro.dca import DcaConfig, run_dca
-from repro.obs.context import current_sink
-from repro.obs.recorder import TelemetryRecorder
-from repro.parallel.engine import ReplicateError, parallel_map
-from repro.parallel.envelope import ReplicateEnvelope, fingerprint_of
-from repro.parallel.reducer import merge_telemetry
+from repro.parallel.engine import fan_out, worker_recorder
+from repro.parallel.envelope import ReplicateEnvelope
 from repro.parallel.seeds import replicate_seeds
-
-#: Per-worker record caps: telemetry payloads travel back through the
-#: process pool, so buffers are bounded.  Drops are deterministic (a pure
-#: function of the replicate's event stream), which preserves the
-#: jobs=N == jobs=1 byte-identity of merged telemetry.
-_WORKER_SPAN_CAP = 10_000
-_WORKER_EVENT_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -56,18 +45,6 @@ class DcaReplicateSpec:
     reliability: Union[float, ReliabilityDistribution]
     overrides: Tuple[Tuple[str, Any], ...] = ()
     telemetry: bool = False
-
-
-@dataclass(frozen=True)
-class _RawReplicate:
-    """What the worker ships back (position is attached by the parent)."""
-
-    seed: int
-    metrics: dict
-    fingerprint: str
-    duration: float
-    worker_pid: int
-    telemetry: Optional[dict] = None
 
 
 def dca_replicate_specs(
@@ -98,14 +75,10 @@ def dca_replicate_specs(
     ]
 
 
-def run_dca_replicate(spec: DcaReplicateSpec) -> _RawReplicate:
+def run_dca_replicate(spec: DcaReplicateSpec) -> ReplicateEnvelope:
     """Execute one replicate (the module-level, picklable worker)."""
     start = time.perf_counter()
-    recorder = None
-    if spec.telemetry:
-        recorder = TelemetryRecorder(
-            max_spans=_WORKER_SPAN_CAP, max_events=_WORKER_EVENT_CAP
-        )
+    recorder = worker_recorder(spec.telemetry)
     # Deep-copy so serial runs match parallel ones (where pickling makes
     # the copy) even if a caller shares one strategy across specs.
     report = run_dca(
@@ -119,13 +92,10 @@ def run_dca_replicate(spec: DcaReplicateSpec) -> _RawReplicate:
         ),
         recorder=recorder,
     )
-    metrics = report.as_dict()
-    return _RawReplicate(
-        seed=spec.seed,
-        metrics=metrics,
-        fingerprint=fingerprint_of(metrics),
-        duration=time.perf_counter() - start,
-        worker_pid=os.getpid(),
+    return ReplicateEnvelope.from_worker(
+        spec.seed,
+        report.as_dict(),
+        start,
         telemetry=recorder.as_payload() if recorder is not None else None,
     )
 
@@ -148,39 +118,11 @@ def run_dca_replicates(
         ReplicateError: naming the failed replicate's position *and
             seed* when any replicate crashes.
     """
-    specs = list(specs)
-    sink = current_sink()
-    if sink is not None and specs and not any(spec.telemetry for spec in specs):
-        specs = [replace(spec, telemetry=True) for spec in specs]
-    try:
-        raws = parallel_map(
-            run_dca_replicate, specs, jobs=jobs, chunk_size=chunk_size
-        )
-    except ReplicateError as exc:
-        if 0 <= exc.position < len(specs):
-            failed = specs[exc.position]
-            raise ReplicateError(
-                f"replicate #{exc.position} (seed {failed.seed}, "
-                f"strategy {failed.strategy.describe()}) failed: "
-                f"{exc.error_type}: {exc}",
-                position=exc.position,
-                error_type=exc.error_type,
-                traceback_text=exc.traceback_text,
-            ) from exc
-        raise
-    envelopes = [
-        ReplicateEnvelope(
-            position=position,
-            seed=raw.seed,
-            metrics=raw.metrics,
-            fingerprint=raw.fingerprint,
-            duration=raw.duration,
-            worker_pid=raw.worker_pid,
-            telemetry=raw.telemetry,
-        )
-        for position, raw in enumerate(raws)
-    ]
-    if sink is not None and envelopes:
-        label = f"{specs[0].strategy.describe()} x{len(specs)}"
-        sink.add_run(label, merge_telemetry(envelopes))
-    return envelopes
+    return fan_out(
+        run_dca_replicate,
+        specs,
+        item="replicate",
+        jobs=jobs,
+        chunk_size=chunk_size,
+        sink_tag="",
+    )

@@ -19,6 +19,14 @@ loop would have produced.  Scheduling is straggler-aware:
 
 Workers must be module-level functions and items picklable; both are
 shipped through the pool's pipe even under the fork start method.
+
+:func:`fan_out` is the one path every substrate takes on top of
+:func:`parallel_map`: its workers return
+:class:`~repro.parallel.envelope.ReplicateEnvelope` values, and it
+stamps their positions, names a crashed item by position, seed and
+strategy, releases the shared-memory columns of the items that did
+finish, and hands merged telemetry to an installed
+:class:`~repro.obs.TelemetrySink`.
 """
 
 from __future__ import annotations
@@ -27,8 +35,15 @@ import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.obs.context import current_sink
+from repro.obs.recorder import TelemetryRecorder
+from repro.parallel.envelope import ReplicateEnvelope
+from repro.parallel.reducer import merge_telemetry
+from repro.parallel.shm import release_columns
+
 
 @dataclass(frozen=True)
 class WorkerCrash:
@@ -47,6 +62,8 @@ class ReplicateError(RuntimeError):
         position: Index of the failed item in the submitted sequence.
         error_type: Exception class name raised by the worker.
         traceback_text: Formatted worker-side traceback.
+        completed: Results of the items that did finish, in position
+            order, so the caller can release what they hold.
     """
 
     def __init__(
@@ -56,21 +73,41 @@ class ReplicateError(RuntimeError):
         position: int = -1,
         error_type: str = "",
         traceback_text: str = "",
+        completed: Sequence[Any] = (),
     ) -> None:
         super().__init__(message)
         self.position = position
         self.error_type = error_type
         self.traceback_text = traceback_text
+        self.completed = list(completed)
 
     @classmethod
-    def from_crash(cls, crash: WorkerCrash) -> "ReplicateError":
+    def from_crash(
+        cls, crash: WorkerCrash, completed: Sequence[Any] = ()
+    ) -> "ReplicateError":
         return cls(
             f"replicate #{crash.position} crashed in worker: "
             f"{crash.error_type}: {crash.message}",
             position=crash.position,
             error_type=crash.error_type,
             traceback_text=crash.traceback_text,
+            completed=completed,
         )
+
+
+#: Per-worker record caps: telemetry payloads travel back through the
+#: process pool, so buffers are bounded.  Drops are deterministic (a pure
+#: function of the item's event stream), which preserves the
+#: jobs=N == jobs=1 byte-identity of merged telemetry.
+_WORKER_SPAN_CAP = 10_000
+_WORKER_EVENT_CAP = 10_000
+
+
+def worker_recorder(telemetry: bool) -> Optional[TelemetryRecorder]:
+    """The capped recorder a worker runs under when its spec asks for one."""
+    if not telemetry:
+        return None
+    return TelemetryRecorder(max_spans=_WORKER_SPAN_CAP, max_events=_WORKER_EVENT_CAP)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -160,11 +197,14 @@ def parallel_map(
         raise ReplicateError(
             "worker pool died before returning results (a worker was "
             "killed or could not start); rerun with jobs=1 to debug "
-            f"in-process: {exc}"
+            f"in-process: {exc}",
+            completed=[results[position] for position in sorted(results)],
         ) from exc
     if crashes:
         first = min(crashes, key=lambda crash: crash.position)
-        raise ReplicateError.from_crash(first)
+        raise ReplicateError.from_crash(
+            first, [results[position] for position in sorted(results)]
+        )
     return [results[position] for position in range(len(work))]
 
 
@@ -174,13 +214,67 @@ def _serial_map(worker: Callable[[Any], Any], work: Sequence[Any]) -> List[Any]:
     for position, item in enumerate(work):
         try:
             out.append(worker(item))
-        except ReplicateError:
-            raise
         except Exception as exc:
             raise ReplicateError(
                 f"replicate #{position} crashed: {type(exc).__name__}: {exc}",
                 position=position,
                 error_type=type(exc).__name__,
                 traceback_text=traceback.format_exc(),
+                completed=out,
             ) from exc
     return out
+
+
+def fan_out(
+    worker: Callable[[Any], ReplicateEnvelope],
+    specs: Iterable[Any],
+    *,
+    item: str,
+    jobs: Optional[int] = 1,
+    chunk_size: Optional[int] = None,
+    sink_tag: Optional[str] = None,
+) -> List[ReplicateEnvelope]:
+    """Run one envelope-returning worker per spec, in spec order.
+
+    Every spec carries ``seed`` and ``strategy``; the worker returns an
+    envelope whose position this function stamps.  With ``sink_tag``
+    set (``""`` for plain replicates), the specs also carry a
+    ``telemetry`` flag: an installed
+    :class:`~repro.obs.TelemetrySink` turns it on, parent-side only, and
+    receives the position-merged payload under the label
+    ``"<strategy> [<tag> ]x<count>"``.  Seeds, metrics and fingerprints
+    never change with it.
+
+    Raises:
+        ReplicateError: naming the failed ``item`` by position, seed and
+            strategy.  The shared-memory columns of the items that
+            finished are released first, so a crash leaks no segment.
+    """
+    specs = list(specs)
+    sink = current_sink() if sink_tag is not None else None
+    if sink is not None and specs and not any(spec.telemetry for spec in specs):
+        specs = [replace(spec, telemetry=True) for spec in specs]
+    try:
+        envelopes = parallel_map(worker, specs, jobs=jobs, chunk_size=chunk_size)
+    except ReplicateError as exc:
+        for envelope in exc.completed:
+            release_columns(envelope.columns)
+        if not 0 <= exc.position < len(specs):
+            raise
+        failed = specs[exc.position]
+        raise ReplicateError(
+            f"{item} #{exc.position} (seed {failed.seed}, "
+            f"strategy {failed.strategy.describe()}) failed: "
+            f"{exc.error_type}: {exc}",
+            position=exc.position,
+            error_type=exc.error_type,
+            traceback_text=exc.traceback_text,
+        ) from exc
+    envelopes = [
+        replace(envelope, position=position)
+        for position, envelope in enumerate(envelopes)
+    ]
+    if sink is not None and envelopes:
+        words = [specs[0].strategy.describe(), sink_tag, f"x{len(specs)}"]
+        sink.add_run(" ".join(word for word in words if word), merge_telemetry(envelopes))
+    return envelopes

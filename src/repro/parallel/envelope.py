@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -34,6 +36,8 @@ class ReplicateEnvelope:
     Attributes:
         position: Index of the replicate in the submitted spec list (the
             reducer aggregates in this order, never completion order).
+            A worker does not know it and ships ``-1``;
+            :func:`~repro.parallel.engine.fan_out` stamps the true one.
         seed: The replicate's derived root seed.
         metrics: Flat metric mapping (the substrate report's
             ``as_dict()``).
@@ -61,3 +65,29 @@ class ReplicateEnvelope:
     worker_pid: int = 0
     telemetry: Optional[Dict[str, Any]] = None
     columns: Optional[Any] = None
+
+    @classmethod
+    def from_worker(
+        cls,
+        seed: int,
+        metrics: Dict[str, Any],
+        started: float,
+        *,
+        telemetry: Optional[Dict[str, Any]] = None,
+        columns: Optional[Any] = None,
+    ) -> "ReplicateEnvelope":
+        """The envelope a worker ships back for ``metrics``.
+
+        ``started`` is the worker's ``time.perf_counter()`` reading when
+        the item began; the position is left for the parent to stamp.
+        """
+        return cls(
+            position=-1,
+            seed=seed,
+            metrics=metrics,
+            fingerprint=fingerprint_of(metrics),
+            duration=time.perf_counter() - started,
+            worker_pid=os.getpid(),
+            telemetry=telemetry,
+            columns=columns,
+        )

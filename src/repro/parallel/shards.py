@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -58,14 +57,11 @@ import numpy as np
 from repro.core.distributions import ReliabilityDistribution
 from repro.core.strategy import RedundancyStrategy
 from repro.dca import DcaConfig, run_columnar_dca, run_columnar_dca_columns, run_dca
-from repro.obs.context import current_sink
-from repro.obs.recorder import TelemetryRecorder
-from repro.parallel.engine import ReplicateError, parallel_map
-from repro.parallel.envelope import ReplicateEnvelope, fingerprint_of
-from repro.parallel.reducer import combined_fingerprint, merge_telemetry, ordered
+from repro.parallel.engine import fan_out, worker_recorder
+from repro.parallel.envelope import ReplicateEnvelope
+from repro.parallel.reducer import combined_fingerprint, ordered
 from repro.parallel.seeds import shard_seeds
 from repro.parallel.shm import (
-    ColumnBlockHandle,
     read_columns,
     release_columns,
     shm_available,
@@ -77,10 +73,6 @@ SHARD_ENGINES = ("columnar", "des")
 
 #: Result transports: metrics-only pickle, or out-of-band shared memory.
 SHARD_TRANSPORTS = ("pickle", "shm")
-
-#: Per-worker telemetry caps, as in :mod:`repro.parallel.dca`.
-_WORKER_SPAN_CAP = 10_000
-_WORKER_EVENT_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -111,19 +103,6 @@ class ShardSpec:
             raise ValueError(
                 f"unknown shard engine {self.engine!r}; choose from {SHARD_ENGINES}"
             )
-
-
-@dataclass(frozen=True)
-class _RawShard:
-    """What the worker ships back (position is attached by the parent)."""
-
-    seed: int
-    metrics: dict
-    fingerprint: str
-    duration: float
-    worker_pid: int
-    telemetry: Optional[dict] = None
-    columns: Optional[ColumnBlockHandle] = None
 
 
 def _split(total: int, shards: int) -> List[int]:
@@ -227,7 +206,7 @@ def _report_columns(report, spec_engine: str):
     }
 
 
-def run_dca_shard(spec: ShardSpec) -> _RawShard:
+def run_dca_shard(spec: ShardSpec) -> ReplicateEnvelope:
     """Execute one shard (the module-level, picklable worker).
 
     The shard's metrics are its report's ``as_dict()`` plus the extensive
@@ -237,11 +216,7 @@ def run_dca_shard(spec: ShardSpec) -> _RawShard:
     columns additionally go out through shared memory.
     """
     start = time.perf_counter()
-    recorder = None
-    if spec.telemetry:
-        recorder = TelemetryRecorder(
-            max_spans=_WORKER_SPAN_CAP, max_events=_WORKER_EVENT_CAP
-        )
+    recorder = worker_recorder(spec.telemetry)
     config = DcaConfig(
         strategy=copy.deepcopy(spec.strategy),
         tasks=spec.tasks,
@@ -265,12 +240,10 @@ def run_dca_shard(spec: ShardSpec) -> _RawShard:
     metrics["total_jobs"] = report.total_jobs
     metrics["jobs_timed_out"] = report.jobs_timed_out
     metrics.update(_regime_metrics(report, config))
-    return _RawShard(
-        seed=spec.seed,
-        metrics=metrics,
-        fingerprint=fingerprint_of(metrics),
-        duration=time.perf_counter() - start,
-        worker_pid=os.getpid(),
+    return ReplicateEnvelope.from_worker(
+        spec.seed,
+        metrics,
+        start,
         telemetry=recorder.as_payload() if recorder is not None else None,
         columns=write_columns(columns) if columns is not None else None,
     )
@@ -299,7 +272,8 @@ def run_dca_shards(
 
     Raises:
         ReplicateError: naming the failed shard's position and seed when
-            any shard crashes.
+            any shard crashes.  The segments of the shards that finished
+            are released first.
     """
     if transport not in SHARD_TRANSPORTS:
         raise ValueError(
@@ -313,40 +287,14 @@ def run_dca_shards(
                 "(POSIX); use transport='pickle'"
             )
         specs = [replace(spec, columns=True) for spec in specs]
-    sink = current_sink()
-    if sink is not None and specs and not any(spec.telemetry for spec in specs):
-        specs = [replace(spec, telemetry=True) for spec in specs]
-    try:
-        raws = parallel_map(run_dca_shard, specs, jobs=jobs, chunk_size=chunk_size)
-    except ReplicateError as exc:
-        if 0 <= exc.position < len(specs):
-            failed = specs[exc.position]
-            raise ReplicateError(
-                f"shard #{exc.position} (seed {failed.seed}, "
-                f"strategy {failed.strategy.describe()}) failed: "
-                f"{exc.error_type}: {exc}",
-                position=exc.position,
-                error_type=exc.error_type,
-                traceback_text=exc.traceback_text,
-            ) from exc
-        raise
-    envelopes = [
-        ReplicateEnvelope(
-            position=position,
-            seed=raw.seed,
-            metrics=raw.metrics,
-            fingerprint=raw.fingerprint,
-            duration=raw.duration,
-            worker_pid=raw.worker_pid,
-            telemetry=raw.telemetry,
-            columns=raw.columns,
-        )
-        for position, raw in enumerate(raws)
-    ]
-    if sink is not None and envelopes:
-        label = f"{specs[0].strategy.describe()} sharded x{len(specs)}"
-        sink.add_run(label, merge_telemetry(envelopes))
-    return envelopes
+    return fan_out(
+        run_dca_shard,
+        specs,
+        item="shard",
+        jobs=jobs,
+        chunk_size=chunk_size,
+        sink_tag="sharded",
+    )
 
 
 #: Extensive per-regime counters that sum across shards when present.

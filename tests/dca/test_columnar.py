@@ -576,6 +576,12 @@ class TestWaveLimit:
 #: the DES, and the reason it exists.
 DES_SPEEDUP_FLOOR = 50.0
 
+#: Each regime's own floor: half the lowest of ten readings on a 2-vCPU
+#: host (churn 86-139x, spot 97-130x, deadline 308-389x), and never
+#: below DES_SPEEDUP_FLOOR.  The horizon case runs far above the shared
+#: floor, so only its own floor notices a 2x slowdown there.
+_SPEEDUP_FLOORS = {"churn": 50.0, "spot": 50.0, "deadline": 150.0}
+
 #: Regime name -> config overrides as a function of the pool size.  Churn
 #: rates scale with the pool (a bigger pool churns more per unit time at
 #: the same per-node hazard); the spot-check gate and the horizon are
@@ -608,7 +614,9 @@ class TestSpeedupOverDes:
 
         columnar = tasks_per_second(run_columnar_dca, 100_000, 10_000)
         des = tasks_per_second(run_dca, 2_000, 200)
-        assert columnar / des >= DES_SPEEDUP_FLOOR, (
+        floor = _SPEEDUP_FLOORS[regime]
+        assert floor >= DES_SPEEDUP_FLOOR
+        assert columnar / des >= floor, (
             f"{regime}: columnar throughput x{columnar / des:.1f} the DES's, "
-            f"below the x{DES_SPEEDUP_FLOOR:.0f} floor"
+            f"below the x{floor:.0f} floor"
         )

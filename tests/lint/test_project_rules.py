@@ -58,6 +58,21 @@ class TestRL101Layering:
         assert "'core' may not import 'dca'" in findings[0].message
         assert findings[0].path.endswith("core/bad.py")
 
+    def test_parallel_importing_volunteer_flagged(self, tmp_path):
+        # The fan-out engine sits below the substrates it runs: Figure
+        # 5(b)'s volunteer worker lives in repro.experiments instead.
+        findings = run_rule(
+            tmp_path,
+            "RL101",
+            {
+                "parallel/volunteer.py": "from repro.volunteer import run_volunteer\n",
+                "volunteer/__init__.py": "def run_volunteer():\n    pass\n",
+            },
+        )
+        assert len(findings) == 1
+        assert "'parallel' may not import 'volunteer'" in findings[0].message
+        assert findings[0].path.endswith("parallel/volunteer.py")
+
     def test_allowed_direction_clean(self, tmp_path):
         findings = run_rule(
             tmp_path,

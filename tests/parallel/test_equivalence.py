@@ -1,6 +1,9 @@
 """Determinism equivalence: ``jobs=4`` must be indistinguishable from
 ``jobs=1`` for every technique, per replicate and in aggregate, and a
-crashing worker must surface a clear error naming the replicate seed."""
+crashing worker must surface a clear error naming the failed item's
+position, seed and strategy, whichever fan-out ran it."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -12,14 +15,15 @@ from repro.core import (
     ProgressiveRedundancy,
     TraditionalRedundancy,
 )
+from repro.experiments.figure5b import VolunteerProblemSpec, run_volunteer_problems
 from repro.parallel import (
     ReplicateError,
-    VolunteerProblemSpec,
     aggregate_metrics,
     combined_fingerprint,
     dca_replicate_specs,
     run_dca_replicates,
-    run_volunteer_problems,
+    run_dca_shards,
+    shard_specs,
 )
 from repro.volunteer import PlanetLabTestbed
 
@@ -90,21 +94,58 @@ class ExplodingStrategy(IterativeRedundancy):
         raise RuntimeError("injected replicate failure")
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_worker_crash_names_replicate_seed(jobs):
+def _replicate_fan_out():
     specs = dca_replicate_specs(
-        lambda: ExplodingStrategy(2),
+        lambda: IterativeRedundancy(2),
         tasks=10,
         nodes=10,
         reliability=0.7,
-        replications=2,
+        replications=3,
         seed=5,
     )
+    return specs, run_dca_replicates
+
+
+def _shard_fan_out():
+    specs = shard_specs(
+        lambda: IterativeRedundancy(2), tasks=30, nodes=9, reliability=0.7, shards=3, seed=5
+    )
+    return specs, run_dca_shards
+
+
+def _volunteer_fan_out():
+    testbed = PlanetLabTestbed(nodes=20)
+    specs = [
+        VolunteerProblemSpec(
+            seed=seed, strategy=IterativeRedundancy(2), testbed=testbed, sat_vars=6, tasks=6
+        )
+        for seed in (1, 2, 3)
+    ]
+    return specs, run_volunteer_problems
+
+
+#: (item noun in the error, spec builder) for every fan-out in the tree.
+FAN_OUTS = [
+    ("replicate", _replicate_fan_out),
+    ("shard", _shard_fan_out),
+    ("volunteer problem", _volunteer_fan_out),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("noun,build", FAN_OUTS, ids=[noun.split()[0] for noun, _ in FAN_OUTS])
+def test_worker_crash_names_failed_item(noun, build, jobs):
+    specs, run = build()
+    # Plant the crash in the middle, so the error must carry the item's
+    # true position rather than the first or the last.
+    specs[1] = replace(specs[1], strategy=ExplodingStrategy(2))
     with pytest.raises(ReplicateError) as excinfo:
-        run_dca_replicates(specs, jobs=jobs)
+        run(specs, jobs=jobs)
     message = str(excinfo.value)
-    assert excinfo.value.position == 0
-    assert f"seed {specs[0].seed}" in message
+    assert excinfo.value.position == 1
+    assert message.startswith(
+        f"{noun} #1 (seed {specs[1].seed}, strategy {specs[1].strategy.describe()}) failed"
+    )
     assert "injected replicate failure" in message
     assert excinfo.value.error_type == "RuntimeError"
     # The worker's traceback travels home for debugging.

@@ -4,12 +4,15 @@ exact, and the position-ordered merge must be pure arithmetic over the
 shard envelopes."""
 
 import math
+import os
+from dataclasses import replace
 
 import pytest
 
 from repro.core import IterativeRedundancy, ProgressiveRedundancy
 from repro.parallel import (
     ReplicateEnvelope,
+    ReplicateError,
     combined_fingerprint,
     fingerprint_of,
     merge_shard_reports,
@@ -308,3 +311,27 @@ class TestShmTransport:
     def test_pickle_transport_carries_no_columns(self):
         for envelope in run_dca_shards(_specs(), jobs=1):
             assert envelope.columns is None
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm to inspect")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_crashed_shard_leaks_no_segment(self, jobs):
+        # Shards 0-2 finish and hand their columns over; shard 3 raises.
+        # The finished shards' segments must not outlive the error.
+        specs = _specs()
+        specs[3] = replace(specs[3], strategy=_ExplodingStrategy(3))
+        before = _shm_segments()
+        with pytest.raises(ReplicateError, match="shard #3"):
+            run_dca_shards(specs, jobs=jobs, transport="shm")
+        assert _shm_segments() - before == set()
+
+
+class _ExplodingStrategy(IterativeRedundancy):
+    """Picklable strategy that detonates inside the shard worker."""
+
+    def decide(self, vote):
+        raise RuntimeError("injected shard failure")
+
+
+def _shm_segments():
+    """Names of the shared-memory segments currently alive."""
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
