@@ -55,8 +55,13 @@ slower, but semantically the strategy's own code.
 Each wave runs as phases over one run state: churn step, job draws, spot
 gate, segment reductions, horizon cut, fold, and decide/retire.  The
 per-task columns hold only the active tasks, in task order, so a wave is
-contiguous in-place work; finished tasks are written out by id and cut
-away once.  The regime kernels (``_pool_compact``,
+contiguous in-place work; finished tasks fold into exact integer tallies
+and are cut away once.  Vote tallies and job counts are int32 (a run
+that would pass that range is refused before it draws), task ids stay
+``intp`` because numpy scatters by them.  A report-only run keeps just
+two per-task columns past retirement, the response times and a
+completion mask; :func:`run_columnar_dca_columns` alone also keeps what
+it exports.  The regime kernels (``_pool_compact``,
 ``_spot_tally``, ``_horizon_cut``) are plain functions the phases call;
 the tests check each against a scalar oracle.
 
@@ -360,7 +365,7 @@ def run_columnar_dca(
     Returns:
         A :class:`ColumnarReport` with the Section 4.1 measures.
     """
-    report, _ = _run_columnar(config, recorder, max_waves)
+    report, _ = _run_columnar(config, recorder, max_waves, columns=False)
     return report
 
 
@@ -378,11 +383,23 @@ def run_columnar_dca_columns(
     transport ships instead of pickled payloads (see
     :mod:`repro.parallel.shm`).
     """
-    return _run_columnar(config, recorder, max_waves)
+    return _run_columnar(config, recorder, max_waves, columns=True)
 
 
 #: The active-task columns, cut together as tasks finish.
 _ACTIVE = ("ids", "true_votes", "false_votes", "clock", "jobs_used", "pending")
+
+#: The largest per-task job count the int32 tally columns hold.
+_TALLY_MAX = 2**31 - 1
+
+
+def _check_tally(strategy: RedundancyStrategy, jobs: int) -> None:
+    """Refuse a run before a task's job count passes the int32 tallies."""
+    if jobs > _TALLY_MAX:
+        raise ValueError(
+            f"{strategy.describe()} needs {jobs} jobs for one task, past the "
+            f"columnar engine's int32 job tallies ({_TALLY_MAX}); use run_dca"
+        )
 
 
 class _Run:
@@ -390,11 +407,14 @@ class _Run:
 
     The ``_ACTIVE`` columns hold only the tasks still in flight, in task
     order, so a wave updates them with contiguous in-place ops and cuts
-    finished tasks out once.  A finished task's values land once in the
-    ``done_*`` columns, indexed by task id.
+    finished tasks out once.  A finished task adds to exact integer
+    tallies and writes its response time and completion flag by task
+    id; with ``columns`` set, its vote outcome, jobs and waves too.
     """
 
-    def __init__(self, config: DcaConfig) -> None:
+    def __init__(self, config: DcaConfig, columns: bool) -> None:
+        initial_jobs = config.strategy.initial_jobs()
+        _check_tally(config.strategy, initial_jobs)
         self.config = config
         self.strategy = config.strategy
         self.decider = _DECIDERS.get(type(config.strategy), _decide_fallback)
@@ -442,14 +462,21 @@ class _Run:
         tasks = config.tasks
         self.ids = np.arange(tasks, dtype=np.int64)
         self.true_votes, self.false_votes, self.jobs_used = (
-            np.zeros(tasks, dtype=np.int64) for _ in range(3)
+            np.zeros(tasks, dtype=np.int32) for _ in range(3)
         )
         self.clock = np.zeros(tasks, dtype=np.float64)
-        self.pending = np.full(tasks, self.strategy.initial_jobs(), dtype=np.int64)
-        self.done_true = np.zeros(tasks, dtype=bool)
+        self.pending = np.full(tasks, initial_jobs, dtype=np.int32)
+        # Completed tasks: exact tallies, plus the two columns the report
+        # needs per task (its mean response keeps numpy's summation order).
+        self.completed = self.correct = self.total_jobs = self.max_jobs = 0
+        self.waves_total = 0
+        self.done = np.zeros(tasks, dtype=bool)
         self.done_clock = np.zeros(tasks, dtype=np.float64)
-        self.done_jobs = np.zeros(tasks, dtype=np.int64)
-        self.done_waves = np.zeros(tasks, dtype=np.int64)  # 0 until done
+        self.done_true = self.done_jobs = self.done_waves = None
+        if columns:
+            self.done_true = np.zeros(tasks, dtype=bool)
+            self.done_jobs = np.zeros(tasks, dtype=np.int64)
+            self.done_waves = np.zeros(tasks, dtype=np.int64)
         self.wave = self.dispatched = self.timed_out = 0
         self.spot_checks = self.joins = self.departures = 0
         self.frontier = 0.0  # global clock: the latest wave-end seen so far
@@ -465,12 +492,14 @@ def _run_columnar(
     config: DcaConfig,
     recorder: Optional[Recorder],
     max_waves: int,
-) -> Tuple[ColumnarReport, Dict[str, "np.ndarray"]]:
+    *,
+    columns: bool,
+) -> Tuple[ColumnarReport, Optional[Dict[str, "np.ndarray"]]]:
     if max_waves < 1:
         raise ValueError(f"max_waves must be at least 1, got {max_waves}")
     _require_numpy()
     _validate(config)
-    run = _Run(config)
+    run = _Run(config, columns)
     rec = active_recorder(recorder)
     if rec is not None:
         rec.count(DCA_SUBMITS, config.tasks)
@@ -487,7 +516,7 @@ def _run_columnar(
         run.dispatched += jobs
         draws = _draw_jobs(run, jobs)
         if run.has_spot:
-            _spot_gate(run, width)
+            _spot_gate(run, jobs, width, ends)
         wave = _reduce_wave(run.pending, width, ends, *draws)
         if run.horizon is not None:
             wave = _cut_at_horizon(run, *wave)
@@ -600,7 +629,7 @@ def _draw_jobs(run: _Run, jobs: int):
     return good, responded, np.where(responded, duration, run.timeout)
 
 
-def _spot_gate(run: _Run, width: int) -> None:
+def _spot_gate(run: _Run, jobs: int, width: int, ends) -> None:
     """Replay the task server's assignment gate for spot checks.
 
     Every assignment attempt draws once; a diverted slot is re-assigned
@@ -608,18 +637,18 @@ def _spot_gate(run: _Run, width: int) -> None:
     spot-related randomness comes from its own stream, so enabling spot
     checks never perturbs the task outcome draws.
     """
-    rng = run.rng_spot
-    # This wave's dispatch time, once per job.
-    pending_starts = np.repeat(run.clock, width or run.pending)
-    spot_starts = []
-    while pending_starts.size:
-        gate = rng.random(pending_starts.size)
-        pending_starts = pending_starts.compress(gate < run.config.spot_check_rate)
-        if pending_starts.size:
-            spot_starts.append(pending_starts)
-    if not spot_starts:
+    rng, rate = run.rng_spot, run.config.spot_check_rate
+    # The first round gates every job; a diverted one maps to its task
+    # (and so to this wave's dispatch time) through its segment.
+    diverted = np.flatnonzero(rng.random(jobs) < rate)
+    tasks = diverted // width if width else np.searchsorted(ends, diverted, side="right")
+    spot_tasks = []
+    while tasks.size:
+        spot_tasks.append(tasks)
+        tasks = tasks.compress(rng.random(tasks.size) < rate)
+    if not spot_tasks:
         return
-    spot_start = np.concatenate(spot_starts)
+    spot_start = run.clock.take(np.concatenate(spot_tasks))
     n_spot = spot_start.shape[0]
     run.spot_checks += n_spot
     run.dispatched += n_spot
@@ -655,12 +684,12 @@ def _strided(ufunc, column, width: int, dtype=None):
 def _segment_counts(flags, width: int, ends):
     """Per-task counts of a wave's True job flags."""
     if width:
-        return _strided(np.add, flags, width, np.int64)
+        return _strided(np.add, flags, width, np.int32)
     # One running sum, differenced at the segment ends.  A wave's job
     # count fits int32 (its float64 columns alone would need 16 GiB
     # past it), and the narrower sum is ~3x faster.
     running = np.cumsum(flags, dtype=np.int32)
-    return np.diff(running[ends - 1], prepend=0)
+    return np.diff(running[ends - 1], prepend=np.int32(0))
 
 
 def _reduce_wave(counts, width: int, ends, good, responded, response_time):
@@ -705,35 +734,52 @@ def _fold(run: _Run, true_wave, responses, span) -> None:
 
 
 def _decide_retire(run: _Run) -> None:
-    """Decide every live task; write the accepted ones' results into the
-    ``done_*`` columns by id and cut them out.  Every task starts at
-    wave 1 and truncated ones leave for good, so an accepted task has run
-    exactly ``run.wave`` waves."""
+    """Decide every live task; tally the accepted ones, write their
+    per-task results by id and cut them out.  Every task starts at wave
+    1 and truncated ones leave for good, so an accepted task has run
+    exactly ``run.wave`` waves.  The next wave's job counts are checked
+    against the int32 tallies before anything draws them."""
     accept, value, more = run.decider(run.strategy, run.true_votes, run.false_votes)
-    run.pending = np.asarray(more, dtype=np.int64)
-    if not accept.any():
-        return
-    rows = np.flatnonzero(accept)
-    done = run.ids.take(rows)
-    run.done_true[done] = value.take(rows)
-    run.done_clock[done] = run.clock.take(rows)
-    run.done_jobs[done] = run.jobs_used.take(rows)
-    run.done_waves[done] = run.wave
-    run.keep(np.flatnonzero(~accept))
+    run.pending = more
+    if accept.any():
+        rows = np.flatnonzero(accept)
+        done = run.ids.take(rows)
+        jobs = run.jobs_used.take(rows)
+        run.completed += rows.size
+        run.correct += int(np.count_nonzero(value & accept))
+        run.total_jobs += int(jobs.sum())
+        run.max_jobs = max(run.max_jobs, int(jobs.max()))
+        run.waves_total += rows.size * run.wave
+        run.done[done] = True
+        run.done_clock[done] = run.clock.take(rows)
+        if run.done_waves is not None:
+            run.done_true[done] = value.take(rows)
+            run.done_jobs[done] = jobs
+            run.done_waves[done] = run.wave
+        run.keep(np.flatnonzero(~accept))
+    if run.ids.size:
+        _check_tally(run.strategy, int(run.jobs_used.max()) + int(run.pending.max()))
+        run.pending = run.pending.astype(np.int32, copy=False)
 
 
-def _report(run: _Run, rec) -> Tuple[ColumnarReport, Dict[str, "np.ndarray"]]:
-    """The run's report and its per-task columns over completed tasks."""
+def _report(run: _Run, rec) -> Tuple[ColumnarReport, Optional[Dict[str, "np.ndarray"]]]:
+    """The run's report, and with ``columns`` its per-task columns over
+    completed tasks."""
     config = run.config
-    completed = run.done_waves > 0
-    columns = {
-        "response_time": run.done_clock.compress(completed),
-        "jobs_used": run.done_jobs.compress(completed),
-        "waves": run.done_waves.compress(completed),
-        "correct": run.done_true.compress(completed),
-    }
-    clock, jobs_used = columns["response_time"], columns["jobs_used"]
-    completed_count = clock.shape[0]
+    completed_count = run.completed
+
+    def completed_only(column):
+        return column if completed_count == config.tasks else column.compress(run.done)
+
+    clock = completed_only(run.done_clock)
+    columns = None
+    if run.done_waves is not None:
+        columns = {
+            "response_time": clock,
+            "jobs_used": completed_only(run.done_jobs),
+            "waves": completed_only(run.done_waves),
+            "correct": completed_only(run.done_true),
+        }
     if run.horizon is not None and completed_count < config.tasks:
         # Incomplete at the horizon: the DES clock stops exactly there.
         makespan = float(run.horizon)
@@ -751,20 +797,19 @@ def _report(run: _Run, rec) -> Tuple[ColumnarReport, Dict[str, "np.ndarray"]]:
         rec.gauge(DCA_MAKESPAN, makespan)
     # The DES report yields nan means over zero records, 0 extremes.
     mean_response = max_response = mean_waves = math.nan
-    total_jobs = max_jobs = 0
     if completed_count:
         mean_response = float(clock.mean())
         max_response = float(clock.max())
-        mean_waves = float(columns["waves"].mean())
-        total_jobs = int(jobs_used.sum())
-        max_jobs = int(jobs_used.max())
+        # Exact: numpy's float64 mean of the integer waves column sums
+        # exactly too, below 2**53.
+        mean_waves = run.waves_total / completed_count
     report = ColumnarReport(
         strategy=run.strategy.describe(),
         tasks_submitted=config.tasks,
         tasks_completed=completed_count,
-        tasks_correct=int(columns["correct"].sum()),
-        total_jobs=total_jobs,
-        max_jobs_per_task=max_jobs,
+        tasks_correct=run.correct,
+        total_jobs=run.total_jobs,
+        max_jobs_per_task=run.max_jobs,
         mean_response_time=mean_response,
         max_response_time=max_response,
         mean_waves=mean_waves,

@@ -279,6 +279,11 @@ def run_dca_shards(
         raise ValueError(
             f"unknown shard transport {transport!r}; choose from {SHARD_TRANSPORTS}"
         )
+    # numpy loads numpy.random lazily; importing it here, before the
+    # pool forks, spares every fresh worker that import on its first
+    # shard, while ``import repro.parallel`` stays without it.
+    import numpy.random  # noqa: F401
+
     specs = list(specs)
     if transport == "shm":
         if not shm_available():

@@ -550,6 +550,58 @@ class _Forever(RedundancyStrategy):
         return Decision.dispatch(1)
 
 
+class _Greedy(RedundancyStrategy):
+    """No vectorised decider: asks for ``first`` jobs, then ``more``
+    after every wave, and never accepts."""
+
+    name = "greedy"
+
+    def __init__(self, first, more):
+        self.first, self.more = first, more
+
+    def initial_jobs(self):
+        return self.first
+
+    def decide(self, vote):
+        return Decision.dispatch(self.more)
+
+
+class TestInt32Tallies:
+    """Per-task job counts live in int32 columns: a run that would pass
+    that range is refused, naming its strategy, before it draws the
+    jobs (so these runs never ask numpy for a 2**31-job wave)."""
+
+    @pytest.mark.parametrize("run", [run_columnar_dca, run_columnar_dca_columns])
+    @pytest.mark.parametrize(
+        "first,more,waves_drawn",
+        [
+            (2**31, 1, 0),  # the first wave alone passes int32
+            (1, 2**31, 1),  # a later wave's count alone passes it
+            (1, 2**31 - 1, 1),  # the count fits, the task's total does not
+        ],
+    )
+    def test_a_count_past_int32_raises_before_drawing(
+        self, monkeypatch, run, first, more, waves_drawn
+    ):
+        import repro.dca.columnar as columnar
+
+        draws = []
+        draw_jobs = columnar._draw_jobs
+        monkeypatch.setattr(
+            columnar, "_draw_jobs", lambda run, jobs: draws.append(jobs) or draw_jobs(run, jobs)
+        )
+        with pytest.raises(ValueError, match="greedy needs .* int32"):
+            run(_config(_Greedy(first, more), tasks=3, nodes=5))
+        assert draws == [3] * waves_drawn
+
+    def test_the_largest_count_int32_holds_is_accepted(self):
+        from repro.dca.columnar import _TALLY_MAX, _check_tally
+
+        _check_tally(_Greedy(1, 1), _TALLY_MAX)
+        with pytest.raises(ValueError, match="greedy"):
+            _check_tally(_Greedy(1, 1), _TALLY_MAX + 1)
+
+
 class TestWaveLimit:
     @pytest.mark.parametrize("run", [run_columnar_dca, run_columnar_dca_columns])
     @pytest.mark.parametrize("max_waves", [0, -1])

@@ -57,7 +57,7 @@ from repro.core import (
 )
 from repro.core.distributions import BetaReliability, TwoClassReliability
 from repro.core.runner import monte_carlo
-from repro.dca import DcaConfig, run_columnar_dca_columns, run_dca
+from repro.dca import DcaConfig, run_columnar_dca, run_columnar_dca_columns, run_dca
 from repro.grid import GridConfig, run_grid
 from repro.mapreduce import MapReduceJob, run_mapreduce, wordcount_job
 from repro.obs import TelemetryRecorder
@@ -151,6 +151,10 @@ def _run_columnar(row: Row, config: dict) -> Run:
         DcaConfig(strategy=row.strategy(), **config), recorder=recorder
     )
     assert set(columns) == {"response_time", "jobs_used", "waves", "correct"}
+    # The report-only path keeps no exported columns; its report must
+    # still be the same, nan means included.
+    report_only = run_columnar_dca(DcaConfig(strategy=row.strategy(), **config))
+    assert repr(report_only) == repr(report), f"{report_only} != {report}"
     payload = recorder.as_payload()
     values = {name: columns[name].tolist() for name in sorted(columns)}
     tasks = [
